@@ -14,7 +14,7 @@
 #   ci/check.sh --leg asan      # run exactly one leg
 #   ci/check.sh asan            # same (positional form kept for compat)
 # Legs: plain | lint | tsan | asan | shards | valuelog | bench | tail-latency |
-#       bench-files | bench-compare | all
+#       bench-files | bench-compare | perfbench | all
 set -u -o pipefail
 
 cd "$(dirname "$0")/.."
@@ -345,6 +345,26 @@ PY
   PASS+=("$name")
 }
 
+# End-to-end checkpoint benchmark self-check: perfbench/run.py builds the
+# benchmark from the current sources, runs its stats unit test, and runs
+# every BENCHMARK.json workload briefly with and without tracing, checking
+# the reported metric names and units and that no operation failed.
+leg_perfbench() {
+  local name=perfbench
+  if ! command -v python3 >/dev/null 2>&1; then
+    note_skip "$name" "python3 not found (perfbench/run.py is Python)"
+    return 0
+  fi
+  echo
+  echo "=== [$name] perfbench/run.py --selfcheck ==="
+  if python3 "$ROOT/perfbench/run.py" --selfcheck; then
+    PASS+=("$name")
+  else
+    FAIL+=("$name")
+    return 1
+  fi
+}
+
 # --- argument parsing --------------------------------------------------------
 
 LEGS=()
@@ -363,7 +383,7 @@ while [ "$#" -gt 0 ]; do
       shift
       ;;
     -h|--help)
-      echo "usage: ci/check.sh [--leg <name>]... [all|plain|lint|tsan|asan|shards|valuelog|bench|tail-latency|bench-files|bench-compare]"
+      echo "usage: ci/check.sh [--leg <name>]... [all|plain|lint|tsan|asan|shards|valuelog|bench|tail-latency|bench-files|bench-compare|perfbench]"
       exit 0
       ;;
     *)
@@ -386,6 +406,7 @@ for leg in "${LEGS[@]}"; do
     tail-latency) leg_tail_latency ;;
     bench-files) leg_bench_files ;;
     bench-compare) leg_bench_compare ;;
+    perfbench) leg_perfbench ;;
     all)
       leg_lint
       leg_tsan
@@ -394,7 +415,7 @@ for leg in "${LEGS[@]}"; do
       leg_valuelog
       ;;
     *)
-      echo "usage: ci/check.sh [--leg <name>]... [all|plain|lint|tsan|asan|shards|valuelog|bench|tail-latency|bench-files|bench-compare]" >&2
+      echo "usage: ci/check.sh [--leg <name>]... [all|plain|lint|tsan|asan|shards|valuelog|bench|tail-latency|bench-files|bench-compare|perfbench]" >&2
       exit 2
       ;;
   esac

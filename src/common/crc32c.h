@@ -1,6 +1,9 @@
 // CRC32C (Castagnoli) used to checksum WAL records, table blocks and the
-// h5l/a2 on-disk structures. Software slicing-by-8 implementation; masked
-// variant provided for values embedded in checksummed payloads.
+// h5l/a2 on-disk structures; masked variant provided for values embedded in
+// checksummed payloads. On x86-64 CPUs with SSE4.2, Extend() uses the
+// hardware crc32 instruction (picked once, on first use); elsewhere it uses
+// software slicing-by-8. Both compute the same polynomial, so every stored
+// checksum is the same whichever path wrote it.
 #pragma once
 
 #include <cstddef>
@@ -15,6 +18,18 @@ uint32_t Extend(uint32_t init_crc, const char* data, size_t n) noexcept;
 inline uint32_t Value(const char* data, size_t n) noexcept {
   return Extend(0, data, n);
 }
+
+namespace internal {
+
+/// Slicing-by-8 software path; works on every CPU.
+uint32_t ExtendPortable(uint32_t init_crc, const char* data, size_t n) noexcept;
+/// True when ExtendHardware() may run on this CPU (x86-64 with SSE4.2).
+bool HardwareAvailable() noexcept;
+/// SSE4.2 crc32 path; only valid when HardwareAvailable(). Exposed, like
+/// ExtendPortable(), so tests can check the two paths against each other.
+uint32_t ExtendHardware(uint32_t init_crc, const char* data, size_t n) noexcept;
+
+}  // namespace internal
 
 inline constexpr uint32_t kMaskDelta = 0xa282ead8u;
 

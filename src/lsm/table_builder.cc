@@ -23,7 +23,9 @@ struct TableBuilder::Rep {
         index_block(&options),
         filter_block(filter == nullptr
                          ? nullptr
-                         : std::make_unique<FilterBlockBuilder>(filter)) {}
+                         : std::make_unique<FilterBlockBuilder>(filter)) {
+    staging.reserve(kTableStagingBytes);
+  }
 
   Options options;
   const Comparator* comparator;
@@ -43,6 +45,9 @@ struct TableBuilder::Rep {
   BlockHandle pending_handle;
 
   std::string compressed_output;
+  // Encoded blocks and trailers not yet handed to `file`; `offset` counts
+  // them already.
+  std::string staging;
 };
 
 TableBuilder::TableBuilder(const Options& options, const Comparator* comparator,
@@ -90,10 +95,7 @@ void TableBuilder::Flush() {
   if (!r->status.ok() || r->data_block.empty()) return;
   assert(!r->pending_index_entry);
   WriteBlock(&r->data_block, &r->pending_handle);
-  if (r->status.ok()) {
-    r->pending_index_entry = true;
-    r->status = r->file->Flush();
-  }
+  if (r->status.ok()) r->pending_index_entry = true;
   if (r->filter_block != nullptr) r->filter_block->StartBlock(r->offset);
 }
 
@@ -129,16 +131,34 @@ void TableBuilder::WriteRawBlock(const Slice& contents, CompressionType type,
   Rep* r = rep_.get();
   handle->set_offset(r->offset);
   handle->set_size(contents.size());
-  r->status = r->file->Append(contents);
-  if (r->status.ok()) {
-    char trailer[kBlockTrailerSize];
-    trailer[0] = static_cast<char>(type);
-    uint32_t crc = crc32c::Value(contents.data(), contents.size());
-    crc = crc32c::Extend(crc, trailer, 1);
-    EncodeFixed32(trailer + 1, crc32c::Mask(crc));
-    r->status = r->file->Append(Slice(trailer, kBlockTrailerSize));
-    if (r->status.ok()) r->offset += contents.size() + kBlockTrailerSize;
+  char trailer[kBlockTrailerSize];
+  trailer[0] = static_cast<char>(type);
+  uint32_t crc = crc32c::Value(contents.data(), contents.size());
+  crc = crc32c::Extend(crc, trailer, 1);
+  EncodeFixed32(trailer + 1, crc32c::Mask(crc));
+
+  const size_t n = contents.size() + kBlockTrailerSize;
+  MakeRoom(n);
+  if (n > kTableStagingBytes) {
+    // Too large to stage: the buffer is empty now, so the block can go to
+    // the file directly; its trailer starts the next staged chunk.
+    if (r->status.ok()) r->status = r->file->Append(contents);
+  } else {
+    r->staging.append(contents.data(), contents.size());
   }
+  r->staging.append(trailer, kBlockTrailerSize);
+  if (r->status.ok()) r->offset += n;
+}
+
+void TableBuilder::MakeRoom(size_t n) {
+  if (rep_->staging.size() + n > kTableStagingBytes) WriteStaged();
+}
+
+void TableBuilder::WriteStaged() {
+  Rep* r = rep_.get();
+  if (!r->status.ok() || r->staging.empty()) return;
+  r->status = r->file->Append(Slice(r->staging));
+  r->staging.clear();
 }
 
 Status TableBuilder::Finish() {
@@ -188,9 +208,11 @@ Status TableBuilder::Finish() {
     footer.set_index_handle(index_block_handle);
     std::string footer_encoding;
     footer.EncodeTo(&footer_encoding);
-    r->status = r->file->Append(Slice(footer_encoding));
+    MakeRoom(footer_encoding.size());
+    r->staging.append(footer_encoding);
     if (r->status.ok()) r->offset += footer_encoding.size();
   }
+  WriteStaged();
   return r->status;
 }
 

@@ -3,6 +3,7 @@
 // appends — the access pattern the whole paper is built on.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 
@@ -18,10 +19,18 @@ class FilterBlockBuilder;
 class Comparator;
 class FilterPolicy;
 
+/// Encoded blocks and their trailers collect in a staging buffer of this
+/// size, so the file sees one append per full buffer plus one at Finish()
+/// rather than two per block. A block that does not fit in an empty buffer
+/// goes to the file directly.
+inline constexpr size_t kTableStagingBytes = 256 * 1024;
+
 class TableBuilder {
  public:
   /// Writes a table to `file` (caller keeps ownership of the file and must
-  /// Close() it after Finish()). `filter_policy` may be null.
+  /// Close() it after Finish()). `filter_policy` may be null. Bytes reach
+  /// the file in staged chunks, so an append error may surface only from a
+  /// later Add() (through status()) or from Finish().
   TableBuilder(const Options& options, const Comparator* comparator,
                const FilterPolicy* filter_policy, vfs::WritableFile* file);
   ~TableBuilder();
@@ -32,7 +41,7 @@ class TableBuilder {
   /// Adds key/value. Keys must be added in strictly increasing order.
   void Add(const Slice& key, const Slice& value);
 
-  /// Writes the current data block if it reached block_size.
+  /// Ends the current data block (if non-empty) and stages it for the file.
   void Flush();
 
   /// Finishes the table: filter, metaindex, index blocks and footer.
@@ -43,7 +52,7 @@ class TableBuilder {
 
   [[nodiscard]] Status status() const;
   [[nodiscard]] uint64_t NumEntries() const;
-  /// File bytes written so far.
+  /// File bytes produced so far, staged bytes included.
   [[nodiscard]] uint64_t FileSize() const;
 
  private:
@@ -52,6 +61,10 @@ class TableBuilder {
   void WriteBlock(BlockBuilder* block, class BlockHandle* handle);
   void WriteRawBlock(const Slice& contents, CompressionType type,
                      class BlockHandle* handle);
+  /// Writes out the staging buffer if `n` more bytes would overflow it.
+  void MakeRoom(size_t n);
+  /// Appends the staged bytes to the file and empties the buffer.
+  void WriteStaged();
 
   std::unique_ptr<Rep> rep_;
 };

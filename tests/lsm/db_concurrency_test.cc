@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
@@ -169,7 +170,9 @@ TEST_F(DbConcurrencyTest, MemTableQueueAbsorbsBurst) {
 }
 
 // Vfs decorator that slows down appends to table files, making background
-// work take long enough that flush/compaction overlap is observable.
+// work take long enough that flush/compaction overlap is observable. The
+// delay is charged per 4 KiB appended, like a device of fixed bandwidth, so
+// it does not depend on how the table builder batches its appends.
 class SlowTableVfs final : public vfs::Vfs {
  public:
   explicit SlowTableVfs(vfs::Vfs& base) : base_(base) {}
@@ -217,7 +220,8 @@ class SlowTableVfs final : public vfs::Vfs {
         : inner_(std::move(inner)), delay_us_(delay_us) {}
     Status Append(const Slice& data) override {
       if (delay_us_ > 0) {
-        std::this_thread::sleep_for(std::chrono::microseconds(delay_us_));
+        const auto pages = static_cast<int64_t>((data.size() + 4095) / 4096);
+        std::this_thread::sleep_for(std::chrono::microseconds(delay_us_ * pages));
       }
       return inner_->Append(data);
     }
@@ -259,7 +263,7 @@ TEST_F(DbConcurrencyTest, FlushProceedsDuringManualCompaction) {
   ASSERT_GE(db_->GetStats().memtable_flushes, 6u);
 
   // Slow down table writes from here on: the compaction rewrites ~48 values
-  // (one slow append per block) while the flush below writes only a few.
+  // (~192 KiB of slow appends) while the flush below writes only a few.
   slow.set_delay_us(3000);
 
   std::thread compactor([&] { EXPECT_TRUE(db_->CompactRange().ok()); });

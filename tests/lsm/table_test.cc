@@ -9,13 +9,18 @@
 #include <tuple>
 #include <vector>
 
+#include "common/crc32c.h"
 #include "common/random.h"
+#include "common/units.h"
+#include "lsm/builder.h"
 #include "lsm/cache.h"
 #include "lsm/comparator.h"
 #include "lsm/dbformat.h"
 #include "lsm/filter_policy.h"
+#include "lsm/memtable.h"
 #include "lsm/read_stats.h"
 #include "lsm/table_builder.h"
+#include "vfs/fault_vfs.h"
 #include "vfs/mem_vfs.h"
 #include "vfs/posix_vfs.h"
 
@@ -23,9 +28,14 @@ namespace lsmio::lsm {
 namespace {
 
 // Builds a table of internal keys in a MemVfs and reopens it for reading.
+// Writes go through a FaultVfs, which passes everything through unless a
+// test arms it and counts the write-class operations the builder makes.
 class TableTest : public ::testing::Test {
  protected:
-  TableTest() : icmp_(BytewiseComparator()), policy_(NewBloomFilterPolicy(10)) {}
+  TableTest()
+      : icmp_(BytewiseComparator()),
+        policy_(NewBloomFilterPolicy(10)),
+        fault_fs_(fs_) {}
 
   std::string IKey(const std::string& user_key, SequenceNumber seq = 1,
                    ValueType t = ValueType::kValue) {
@@ -37,14 +47,17 @@ class TableTest : public ::testing::Test {
   void BuildAndOpen(const std::map<std::string, std::string>& user_entries,
                     Options options = {}) {
     std::unique_ptr<vfs::WritableFile> file;
-    ASSERT_TRUE(fs_.NewWritableFile("/t.sst", {}, &file).ok());
+    ASSERT_TRUE(fault_fs_.NewWritableFile("/t.sst", {}, &file).ok());
+    const uint64_t ops_before = fault_fs_.write_ops();
     TableBuilder builder(options, &icmp_, policy_.get(), file.get());
     for (const auto& [k, v] : user_entries) builder.Add(IKey(k), v);
     ASSERT_TRUE(builder.Finish().ok());
+    appends_ = fault_fs_.write_ops() - ops_before;
     ASSERT_TRUE(file->Close().ok());
 
     uint64_t size = 0;
     ASSERT_TRUE(fs_.GetFileSize("/t.sst", &size).ok());
+    ASSERT_EQ(size, builder.FileSize());
     ASSERT_TRUE(fs_.NewRandomAccessFile("/t.sst", {}, &raf_).ok());
     cache_ = NewLRUCache(1 << 20);
     ASSERT_TRUE(Table::Open(options, &icmp_, policy_.get(), cache_.get(), 1,
@@ -73,6 +86,8 @@ class TableTest : public ::testing::Test {
   vfs::MemVfs fs_;
   InternalKeyComparator icmp_;
   std::unique_ptr<const FilterPolicy> policy_;
+  vfs::FaultVfs fault_fs_;
+  uint64_t appends_ = 0;  // file appends made by the last BuildAndOpen
   std::unique_ptr<vfs::RandomAccessFile> raf_;
   std::unique_ptr<Cache> cache_;
   std::unique_ptr<Table> table_;
@@ -233,6 +248,142 @@ TEST_F(TableTest, ApproximateOffsetsAreMonotone) {
     prev = off;
   }
   EXPECT_GT(prev, 0u);
+}
+
+// Fixed input for the golden test: 3000 keys with random 50-450 byte values
+// (many 4 KiB data blocks), plus one 1 MiB value that makes a data block
+// larger than the builder's staging buffer.
+std::map<std::string, std::string> GoldenEntries() {
+  std::map<std::string, std::string> entries;
+  Rng rng(2023);
+  for (int i = 0; i < 3000; ++i) {
+    char key[16];
+    std::snprintf(key, sizeof key, "key%06d", i);
+    std::string value(50 + rng.Uniform(400), '\0');
+    rng.Fill(value.data(), value.size());
+    entries[key] = std::move(value);
+  }
+  std::string big(1 * MiB, '\0');
+  rng.Fill(big.data(), big.size());
+  entries["key001500"] = std::move(big);
+  return entries;
+}
+
+// The table file format is frozen: whatever way the builder hands bytes to
+// the file, the same input must produce the same file. The CRC and size
+// were recorded from the builder that made one append per block and one
+// per trailer.
+TEST_F(TableTest, GoldenFileBytes) {
+  BuildAndOpen(GoldenEntries());
+  std::string contents;
+  ASSERT_TRUE(vfs::ReadFileToString(fs_, "/t.sst", &contents).ok());
+  EXPECT_EQ(contents.size(), 1847407u);
+  EXPECT_EQ(crc32c::Value(contents.data(), contents.size()), 0xde49fac7u);
+}
+
+TEST_F(TableTest, StagedAppendsCoverManyBlocksPerCall) {
+  // ~4 MiB of 1 KiB values: about a thousand 4 KiB data blocks, each of
+  // which used to cost two appends (block, then trailer).
+  std::map<std::string, std::string> entries;
+  for (int i = 0; i < 4000; ++i) {
+    char key[16];
+    std::snprintf(key, sizeof key, "key%06d", i);
+    entries[key] = std::string(1 * KiB, static_cast<char>('a' + i % 26));
+  }
+  BuildAndOpen(entries);
+
+  uint64_t size = 0;
+  ASSERT_TRUE(fs_.GetFileSize("/t.sst", &size).ok());
+  ASSERT_GT(size, 4 * MiB);
+  const uint64_t full_buffers =
+      (size + kTableStagingBytes - 1) / kTableStagingBytes;
+  EXPECT_LE(appends_, full_buffers + 1);
+
+  std::string value;
+  ASSERT_TRUE(Get("key003999", &value));
+  EXPECT_EQ(value, std::string(1 * KiB, static_cast<char>('a' + 3999 % 26)));
+}
+
+TEST_F(TableTest, BlockLargerThanStagingBufferRoundTrips) {
+  std::map<std::string, std::string> entries;
+  Rng rng(7);
+  for (int i = 0; i < 200; ++i) {
+    std::string value(300, '\0');
+    rng.Fill(value.data(), value.size());
+    entries["key" + std::to_string(1000 + i)] = std::move(value);
+  }
+  std::string big(1 * MiB, '\0');
+  rng.Fill(big.data(), big.size());
+  entries["key1100"] = big;
+  BuildAndOpen(entries);
+
+  ReadOptions verify;
+  verify.verify_checksums = true;
+  verify.fill_cache = false;
+  std::unique_ptr<Iterator> iter(table_->NewIterator(verify));
+  auto expected = entries.begin();
+  for (iter->SeekToFirst(); iter->Valid(); iter->Next(), ++expected) {
+    ASSERT_NE(expected, entries.end());
+    ASSERT_EQ(ExtractUserKey(iter->key()).ToString(), expected->first);
+    ASSERT_EQ(iter->value().ToString(), expected->second);
+  }
+  EXPECT_EQ(expected, entries.end());
+  EXPECT_TRUE(iter->status().ok()) << iter->status().ToString();
+}
+
+// A short write on any staged append must fail the flush and leave no
+// table file behind, whether it hits a full-buffer append in the middle of
+// the table or the final one made by Finish().
+TEST_F(TableTest, ShortWriteOnStagedAppendFailsBuildTable) {
+  MemTable* mem = new MemTable(icmp_);
+  mem->Ref();
+  Rng rng(11);
+  for (int i = 0; i < 1000; ++i) {
+    std::string value(600, '\0');
+    rng.Fill(value.data(), value.size());
+    mem->Add(static_cast<SequenceNumber>(i + 1), ValueType::kValue,
+             "key" + std::to_string(10000 + i), value);
+  }
+  const Options options;
+  const std::string fname = TableFileName("/db", 7);
+
+  // Unarmed run: count the appends one flush of this memtable makes.
+  uint64_t appends = 0;
+  {
+    std::unique_ptr<Iterator> iter(mem->NewIterator());
+    FileMetaData meta;
+    meta.number = 7;
+    const uint64_t ops_before = fault_fs_.write_ops();
+    ASSERT_TRUE(BuildTable("/db", fault_fs_, options, &icmp_, policy_.get(),
+                           iter.get(), &meta)
+                    .ok());
+    // Create and sync are write-class operations too.
+    appends = fault_fs_.write_ops() - ops_before - 2;
+    ASSERT_TRUE(fs_.RemoveFile(fname).ok());
+  }
+  ASSERT_GE(appends, 3u);  // >600 KiB: at least two full buffers + Finish
+
+  for (uint64_t nth = 1; nth <= appends; ++nth) {
+    vfs::FaultPoint point;
+    point.kind = vfs::FaultKind::kShortWrite;
+    point.file_classes = vfs::kTableFile;
+    point.ops = vfs::kAppendOp;
+    point.countdown = static_cast<int>(nth);
+    point.sticky = false;
+    fault_fs_.Arm(point);
+
+    std::unique_ptr<Iterator> iter(mem->NewIterator());
+    FileMetaData meta;
+    meta.number = 7;
+    const Status s = BuildTable("/db", fault_fs_, options, &icmp_,
+                                policy_.get(), iter.get(), &meta);
+    EXPECT_TRUE(s.IsIoError()) << "append " << nth << ": " << s.ToString();
+    EXPECT_EQ(meta.file_size, 0u) << "append " << nth;
+    EXPECT_FALSE(fs_.FileExists(fname)) << "append " << nth;
+    EXPECT_EQ(fault_fs_.faults_injected(), static_cast<int>(nth));
+  }
+  fault_fs_.Disarm();
+  mem->Unref();
 }
 
 // Read/iterate matrix over {use_mmap} x {pin_index_and_filter} against the
