@@ -20,6 +20,24 @@ std::unique_ptr<Manager> g_manager GUARDED_BY(g_api_mu);
 /// Read by KvStreamBuf constructors without the API mutex, so it is a
 /// relaxed atomic rather than GUARDED_BY(g_api_mu).
 std::atomic<uint64_t> g_chunk_size{1 * MiB};
+
+std::string MetaKey(const std::string& name) { return "F!" + name + "!meta"; }
+
+std::string ChunkKey(const std::string& name, uint64_t chunk_index) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "!%016" PRIx64, chunk_index);
+  return "F!" + name + buf;
+}
+
+/// Deletes the chunk records of a stored file of `size` bytes.
+Status DeleteChunks(Manager* manager, const std::string& name, uint64_t size,
+                    uint64_t chunk_size) {
+  const uint64_t chunks = (size + chunk_size - 1) / chunk_size;
+  for (uint64_t c = 0; c < chunks; ++c) {
+    LSMIO_RETURN_IF_ERROR(manager->Del(ChunkKey(name, c)));
+  }
+  return Status::OK();
+}
 }  // namespace
 
 Status FStreamApi::Initialize(const LsmioOptions& options, const std::string& path) {
@@ -69,7 +87,15 @@ KvStreamBuf::KvStreamBuf(Manager* manager, std::string name,
     ok_ = false;
     return;
   }
-  if ((mode & std::ios_base::trunc) != 0) size_ = 0;
+  if ((mode & std::ios_base::trunc) != 0) {
+    // Drop the old chunks too: a hole later seeked over must read as
+    // zeros, not as bytes from before the truncation.
+    if (size_ > 0 && !DeleteChunks(manager_, name_, size_, chunk_size_).ok()) {
+      ok_ = false;
+      return;
+    }
+    size_ = 0;
+  }
   if ((mode & std::ios_base::ate) != 0 || (mode & std::ios_base::app) != 0) {
     position_ = size_;
   }
@@ -77,40 +103,34 @@ KvStreamBuf::KvStreamBuf(Manager* manager, std::string name,
 
 KvStreamBuf::~KvStreamBuf() { sync(); }
 
-std::string KvStreamBuf::ChunkKey(uint64_t chunk_index) const {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "!%016" PRIx64, chunk_index);
-  return "F!" + name_ + buf;
-}
-
-std::string KvStreamBuf::MetaKey() const { return "F!" + name_ + "!meta"; }
-
 Status KvStreamBuf::LoadMeta() {
   uint64_t stored = 0;
-  LSMIO_RETURN_IF_ERROR(manager_->GetUint64(MetaKey(), &stored));
+  LSMIO_RETURN_IF_ERROR(manager_->GetUint64(MetaKey(name_), &stored));
   size_ = stored;
   return Status::OK();
 }
 
-Status KvStreamBuf::StoreMeta() { return manager_->PutUint64(MetaKey(), size_); }
+Status KvStreamBuf::StoreMeta() { return manager_->PutUint64(MetaKey(name_), size_); }
 
 Status KvStreamBuf::LoadChunk(uint64_t chunk_index) {
   if (loaded_chunk_ == chunk_index) return Status::OK();
   LSMIO_RETURN_IF_ERROR(FlushChunk());
   setg(nullptr, nullptr, nullptr);  // get area pointed into the old chunk
-  if (readable_ && size_ > 0 && !prefetched_.contains(chunk_index)) {
-    PrefetchFrom(chunk_index);
-  }
-  auto it = prefetched_.find(chunk_index);
-  if (it != prefetched_.end()) {
-    chunk_ = std::move(it->second);
-    prefetched_.erase(it);
+  if (chunk_index * chunk_size_ >= size_) {
+    chunk_.clear();  // wholly past the end of the file: no live bytes
   } else {
-    Status s = manager_->Get(ChunkKey(chunk_index), &chunk_);
-    if (s.IsNotFound()) {
-      chunk_.clear();
-    } else if (!s.ok()) {
-      return s;
+    if (readable_ && !prefetched_.contains(chunk_index)) PrefetchFrom(chunk_index);
+    auto it = prefetched_.find(chunk_index);
+    if (it != prefetched_.end()) {
+      chunk_ = std::move(it->second);
+      prefetched_.erase(it);
+    } else {
+      Status s = manager_->Get(ChunkKey(name_, chunk_index), &chunk_);
+      if (s.IsNotFound()) {
+        chunk_.clear();
+      } else if (!s.ok()) {
+        return s;
+      }
     }
   }
   loaded_chunk_ = chunk_index;
@@ -129,7 +149,7 @@ void KvStreamBuf::PrefetchFrom(uint64_t chunk_index) {
   std::vector<std::string> key_storage;
   key_storage.reserve(static_cast<size_t>(end - chunk_index + 1));
   for (uint64_t c = chunk_index; c <= end; ++c) {
-    key_storage.push_back(ChunkKey(c));
+    key_storage.push_back(ChunkKey(name_, c));
   }
   std::vector<Slice> keys(key_storage.begin(), key_storage.end());
   std::vector<std::string> values;
@@ -157,7 +177,7 @@ void KvStreamBuf::SyncPositionFromGetArea() {
 Status KvStreamBuf::FlushChunk() {
   if (!chunk_dirty_ || loaded_chunk_ == ~0ULL) return Status::OK();
   chunk_dirty_ = false;
-  return manager_->Put(ChunkKey(loaded_chunk_), chunk_);
+  return manager_->Put(ChunkKey(name_, loaded_chunk_), chunk_);
 }
 
 int KvStreamBuf::sync() {
@@ -225,13 +245,12 @@ KvStreamBuf::int_type KvStreamBuf::underflow() {
     ok_ = false;
     return traits_type::eof();
   }
-  if (within >= chunk_.size()) return traits_type::eof();
-
   // Expose the remainder of this chunk (clamped to logical size) as the
-  // get area so bulk reads (sgetn) are chunk-at-a-time.
-  const uint64_t logical_remaining = size_ - (chunk_index * chunk_size_);
+  // get area so bulk reads (sgetn) are chunk-at-a-time. A chunk stored
+  // shorter than that is followed by a hole, which reads as zeros.
   const size_t avail = static_cast<size_t>(
-      std::min<uint64_t>(chunk_.size(), logical_remaining));
+      std::min<uint64_t>(chunk_size_, size_ - (chunk_index * chunk_size_)));
+  if (chunk_.size() < avail) chunk_.resize(avail, '\0');
   char* base = chunk_.data();
   setg(base, base + within, base + avail);
   // Note: position_ is advanced in seek/overflow paths; for the get area we
@@ -293,23 +312,18 @@ Status FStreamRemove(const std::string& name) {
   Manager* manager = FStreamApi::manager();
   if (manager == nullptr) return Status::InvalidArgument("FStreamApi not initialized");
   uint64_t size = 0;
-  Status s = manager->GetUint64("F!" + name + "!meta", &size);
+  Status s = manager->GetUint64(MetaKey(name), &size);
   if (s.IsNotFound()) return s;
   LSMIO_RETURN_IF_ERROR(s);
-  const uint64_t chunks = (size + g_chunk_size - 1) / g_chunk_size;
-  for (uint64_t c = 0; c < chunks; ++c) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "!%016" PRIx64, c);
-    LSMIO_RETURN_IF_ERROR(manager->Del("F!" + name + buf));
-  }
-  return manager->Del("F!" + name + "!meta");
+  LSMIO_RETURN_IF_ERROR(DeleteChunks(manager, name, size, g_chunk_size));
+  return manager->Del(MetaKey(name));
 }
 
 bool FStreamExists(const std::string& name) {
   Manager* manager = FStreamApi::manager();
   if (manager == nullptr) return false;
   uint64_t size = 0;
-  return manager->GetUint64("F!" + name + "!meta", &size).ok();
+  return manager->GetUint64(MetaKey(name), &size).ok();
 }
 
 }  // namespace lsmio

@@ -67,8 +67,6 @@ class KvStreamBuf final : public std::streambuf {
   std::streampos seekpos(std::streampos pos, std::ios_base::openmode which) override;
 
  private:
-  std::string ChunkKey(uint64_t chunk_index) const;
-  std::string MetaKey() const;
   void SyncPositionFromGetArea();
   Status LoadChunk(uint64_t chunk_index);
   void PrefetchFrom(uint64_t chunk_index);

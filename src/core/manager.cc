@@ -14,6 +14,10 @@ namespace lsmio {
 
 namespace {
 
+void Bump(std::atomic<uint64_t>& counter, uint64_t by = 1) {
+  counter.fetch_add(by, std::memory_order_relaxed);
+}
+
 // Serialized remote-put entry: varint dest | varstring key | varstring value.
 void PackRemotePut(std::string* dst, int dest, const Slice& key, const Slice& value) {
   PutVarint32(dst, static_cast<uint32_t>(dest));
@@ -86,9 +90,8 @@ Status Manager::Get(const Slice& key, std::string* value) {
 Status Manager::Get(const lsm::ReadOptions& read_options, const Slice& key,
                     std::string* value) {
   Status s = store_->Get(read_options, key, value);
-  MutexLock lock(&counters_mu_);
-  ++counters_.gets;
-  if (s.ok()) counters_.bytes_got += value->size();
+  Bump(counters_.gets);
+  if (s.ok()) Bump(counters_.bytes_got, value->size());
   return s;
 }
 
@@ -103,13 +106,14 @@ Status Manager::GetBatch(const lsm::ReadOptions& read_options,
                          std::vector<std::string>* values,
                          std::vector<Status>* statuses) {
   Status s = store_->GetBatch(read_options, keys, values, statuses);
-  MutexLock lock(&counters_mu_);
-  ++counters_.multigets;
-  counters_.multiget_keys += keys.size();
+  Bump(counters_.multigets);
+  Bump(counters_.multiget_keys, keys.size());
   if (s.ok()) {
+    uint64_t bytes = 0;
     for (size_t i = 0; i < statuses->size(); ++i) {
-      if ((*statuses)[i].ok()) counters_.bytes_got += (*values)[i].size();
+      if ((*statuses)[i].ok()) bytes += (*values)[i].size();
     }
+    Bump(counters_.bytes_got, bytes);
   }
   return s;
 }
@@ -124,19 +128,16 @@ Status Manager::Put(const Slice& key, const Slice& value) {
       OwnerOf(key) != options_.comm->rank()) {
     // Route to the owner: buffered until the next CollectiveFence.
     AppendRemotePut(this, OwnerOf(key), key, value);
-    MutexLock lock(&counters_mu_);
-    ++counters_.remote_puts;
-    ++counters_.puts;
-    counters_.bytes_put += value.size();
+    Bump(counters_.remote_puts);
+    Bump(counters_.puts);
+    Bump(counters_.bytes_put, value.size());
     return Status::OK();
   }
   s = store_->Put(key, value);
 
-  const uint64_t elapsed = SystemClock::Default()->NowMicros() - start_us;
-  MutexLock lock(&counters_mu_);
-  ++counters_.puts;
-  counters_.bytes_put += value.size();
-  counters_.put_latency_us.Add(static_cast<double>(elapsed));
+  counters_.put_latency_us.Record(SystemClock::Default()->NowMicros() - start_us);
+  Bump(counters_.puts);
+  Bump(counters_.bytes_put, value.size());
   return s;
 }
 
@@ -170,16 +171,14 @@ Status Manager::GetDouble(const Slice& key, double* value) {
 
 Status Manager::Append(const Slice& key, const Slice& value) {
   Status s = store_->Append(key, value);
-  MutexLock lock(&counters_mu_);
-  ++counters_.appends;
-  counters_.bytes_put += value.size();
+  Bump(counters_.appends);
+  Bump(counters_.bytes_put, value.size());
   return s;
 }
 
 Status Manager::Del(const Slice& key) {
   Status s = store_->Del(key);
-  MutexLock lock(&counters_mu_);
-  ++counters_.dels;
+  Bump(counters_.dels);
   return s;
 }
 
@@ -187,8 +186,7 @@ Status Manager::WriteBarrier() { return WriteBarrier(options_.barrier_mode); }
 
 Status Manager::WriteBarrier(BarrierMode mode) {
   Status s = store_->WriteBarrier(mode);
-  MutexLock lock(&counters_mu_);
-  ++counters_.write_barriers;
+  Bump(counters_.write_barriers);
   return s;
 }
 
@@ -223,8 +221,22 @@ Status Manager::CollectiveFence() {
 }
 
 ManagerCounters Manager::counters() const {
-  MutexLock lock(&counters_mu_);
-  return counters_;
+  const auto load = [](const std::atomic<uint64_t>& c) {
+    return c.load(std::memory_order_relaxed);
+  };
+  ManagerCounters out;
+  out.puts = load(counters_.puts);
+  out.gets = load(counters_.gets);
+  out.appends = load(counters_.appends);
+  out.dels = load(counters_.dels);
+  out.write_barriers = load(counters_.write_barriers);
+  out.bytes_put = load(counters_.bytes_put);
+  out.bytes_got = load(counters_.bytes_got);
+  out.remote_puts = load(counters_.remote_puts);
+  out.multigets = load(counters_.multigets);
+  out.multiget_keys = load(counters_.multiget_keys);
+  out.put_latency_us = counters_.put_latency_us.Snapshot();
+  return out;
 }
 
 }  // namespace lsmio

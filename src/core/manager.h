@@ -4,6 +4,7 @@
 // factory used by applications.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -12,13 +13,13 @@
 #include <vector>
 
 #include "common/histogram.h"
-#include "common/synchronization.h"
 #include "common/slice.h"
 #include "core/store.h"
 
 namespace lsmio {
 
-/// Manager-level performance counters (paper §3.1.4).
+/// Manager-level performance counters (paper §3.1.4): a snapshot returned
+/// by Manager::counters().
 struct ManagerCounters {
   uint64_t puts = 0;
   uint64_t gets = 0;
@@ -112,10 +113,26 @@ class Manager {
   /// Owner rank of a key in collective mode.
   [[nodiscard]] int OwnerOf(const Slice& key) const;
 
+  /// The live counters behind counters(): relaxed atomics and a lock-free
+  /// histogram, so concurrent callers never serialize on bookkeeping. A
+  /// snapshot is exact per field but not a consistent cut across fields.
+  struct LiveCounters {
+    std::atomic<uint64_t> puts{0};
+    std::atomic<uint64_t> gets{0};
+    std::atomic<uint64_t> appends{0};
+    std::atomic<uint64_t> dels{0};
+    std::atomic<uint64_t> write_barriers{0};
+    std::atomic<uint64_t> bytes_put{0};
+    std::atomic<uint64_t> bytes_got{0};
+    std::atomic<uint64_t> remote_puts{0};
+    std::atomic<uint64_t> multigets{0};
+    std::atomic<uint64_t> multiget_keys{0};
+    LatencyHistogram put_latency_us;
+  };
+
   LsmioOptions options_;          // unguarded: immutable after construction
   std::unique_ptr<Store> store_;  // unguarded: set once; Store is internally synchronized
-  mutable Mutex counters_mu_;
-  ManagerCounters counters_ GUARDED_BY(counters_mu_);
+  LiveCounters counters_;
 };
 
 }  // namespace lsmio

@@ -10,11 +10,20 @@
 namespace lsmio::vfs {
 
 /// Process-wide counters for posix-specific behaviour that callers cannot
-/// otherwise observe: readahead hints and the mmap→pread fallback.
+/// otherwise observe: readahead hints, early writeback of appended bytes and
+/// the mmap→pread fallback.
 struct PosixVfsStats {
   /// RandomAccessFile::Hint invocations and the bytes they covered.
   std::atomic<uint64_t> hint_calls{0};
   std::atomic<uint64_t> hint_bytes{0};
+  /// WritableFile::Append-triggered sync_file_range(SYNC_FILE_RANGE_WRITE)
+  /// calls (one per MiB appended to a file, Linux only) and the bytes
+  /// they handed to kernel writeback.
+  std::atomic<uint64_t> writeback_calls{0};
+  std::atomic<uint64_t> writeback_bytes{0};
+  /// sync_file_range calls that failed; each switches writeback off for
+  /// its file (Append still succeeds, Sync() still fdatasyncs).
+  std::atomic<uint64_t> writeback_failures{0};
   /// Reads served entirely from the Hint prefetch buffer (no syscall).
   std::atomic<uint64_t> prefetch_hits{0};
   /// use_mmap opens where mmap failed and the file silently degraded to

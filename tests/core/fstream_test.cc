@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/random.h"
 #include "vfs/mem_vfs.h"
 
@@ -58,6 +60,81 @@ TEST_F(FStreamTest, TruncateModeDiscardsOldContents) {
   std::string contents;
   in >> contents;
   EXPECT_EQ(contents, "new");
+}
+
+/// Reads a whole stored file; gcount() must cover its logical size.
+std::string ReadAll(const std::string& name) {
+  FStream in(name, std::ios::in | std::ios::binary);
+  std::string got(in.size(), '?');
+  in.read(got.data(), static_cast<std::streamsize>(got.size()));
+  EXPECT_EQ(static_cast<size_t>(in.gcount()), got.size()) << name;
+  return got;
+}
+
+/// Compares two byte strings, reporting the first differing offset rather
+/// than both (multi-KiB) strings.
+::testing::AssertionResult SameBytes(const std::string& got, const std::string& want) {
+  if (got == want) return ::testing::AssertionSuccess();
+  size_t first = 0;
+  while (first < got.size() && first < want.size() && got[first] == want[first]) ++first;
+  size_t differing = 0;
+  for (size_t i = first; i < std::min(got.size(), want.size()); ++i) {
+    differing += got[i] != want[i] ? 1 : 0;
+  }
+  return ::testing::AssertionFailure()
+         << "sizes " << got.size() << " vs " << want.size() << "; " << differing
+         << " bytes differ, the first at offset " << first;
+}
+
+void WriteFile(const std::string& name, const std::string& contents) {
+  FStream out(name, std::ios::out | std::ios::binary);
+  out.write(contents.data(), static_cast<std::streamsize>(contents.size()));
+  ASSERT_TRUE(out.good());
+}
+
+// Bytes skipped by seekp after a truncating open read back as zeros, not as
+// the bytes the chunks held before the truncation.
+TEST_F(FStreamTest, TruncatedFileHoleReadsZeros) {
+  WriteFile("trunc-hole", std::string(8192, 'A'));
+  {
+    FStream out("trunc-hole", std::ios::out | std::ios::trunc);
+    out << "new";
+    out.seekp(5000);
+    out << "x";
+  }
+  EXPECT_TRUE(SameBytes(ReadAll("trunc-hole"), "new" + std::string(4997, '\0') + "x"));
+}
+
+// Same, with the chunk before the hole never rewritten after the truncation.
+TEST_F(FStreamTest, TruncatedFileUnwrittenChunkReadsZeros) {
+  WriteFile("trunc-gap", std::string(8192, 'A'));
+  {
+    FStream out("trunc-gap", std::ios::out | std::ios::trunc);
+    out.seekp(5000);
+    out << "x";
+  }
+  EXPECT_TRUE(SameBytes(ReadAll("trunc-gap"), std::string(5000, '\0') + "x"));
+}
+
+// A chunk stored shorter than the file's size (a hole follows its last
+// written byte) reads back zero-filled instead of ending the read early.
+TEST_F(FStreamTest, ShortChunkBeforeHoleReadsZeros) {
+  {
+    FStream out("short-chunk", std::ios::out);
+    out << "abc";
+    out.seekp(5000);
+    out << "x";
+  }
+  EXPECT_TRUE(SameBytes(ReadAll("short-chunk"), "abc" + std::string(4997, '\0') + "x"));
+}
+
+// A new file's chunks have no stored bytes to load: writing one looks up
+// only the size record.
+TEST_F(FStreamTest, WritingNewFileSkipsChunkLookups) {
+  const uint64_t gets_before = FStreamApi::manager()->counters().gets;
+  WriteFile("fresh", std::string(3 * 4096 + 100, 'z'));
+  EXPECT_EQ(FStreamApi::manager()->counters().gets - gets_before, 1u);
+  EXPECT_TRUE(SameBytes(ReadAll("fresh"), std::string(3 * 4096 + 100, 'z')));
 }
 
 TEST_F(FStreamTest, SeekpTellpRoundTrip) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "minimpi/minimpi.h"
 #include "vfs/mem_vfs.h"
 
@@ -90,6 +93,40 @@ TEST_F(ManagerTest, CountersTrackOperations) {
   EXPECT_EQ(counters.bytes_put, 5u + 3u);
   EXPECT_EQ(counters.bytes_got, 8u);
   EXPECT_EQ(counters.put_latency_us.count(), 1u);
+}
+
+// The counters are lock-free: concurrent callers on one Manager must still
+// add up exactly.
+TEST_F(ManagerTest, CountersExactUnderConcurrentCallers) {
+  Open();
+  constexpr int kThreads = 8;
+  constexpr int kOps = 500;
+  constexpr size_t kValueBytes = 100;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([this, t] {
+      const std::string value(kValueBytes, static_cast<char>('a' + t));
+      std::string got;
+      for (int i = 0; i < kOps; ++i) {
+        const std::string key = "t" + std::to_string(t) + "-" + std::to_string(i);
+        EXPECT_TRUE(manager_->Put(key, value).ok());
+        EXPECT_TRUE(manager_->Get(key, &got).ok());
+        EXPECT_TRUE(manager_->Del(key).ok());
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  const ManagerCounters counters = manager_->counters();
+  constexpr uint64_t kTotal = kThreads * kOps;
+  EXPECT_EQ(counters.puts, kTotal);
+  EXPECT_EQ(counters.gets, kTotal);
+  EXPECT_EQ(counters.dels, kTotal);
+  EXPECT_EQ(counters.bytes_put, kTotal * kValueBytes);
+  EXPECT_EQ(counters.bytes_got, kTotal * kValueBytes);
+  EXPECT_EQ(counters.put_latency_us.count(), kTotal);
+  EXPECT_EQ(counters.appends, 0u);
+  EXPECT_EQ(counters.write_barriers, 0u);
 }
 
 TEST_F(ManagerTest, WriteBarrierModes) {
