@@ -60,8 +60,6 @@ struct LsmioOptions {
   /// > 2 let checkpoint bursts roll to a fresh buffer instead of stalling
   /// behind an in-flight flush. Minimum effective value is 2.
   int max_write_buffer_number = 2;
-  /// Group commit: concurrent writers batch into one WAL append/fsync.
-  bool enable_group_commit = true;
   /// Soft L0 trigger for graduated write backpressure: from this many L0
   /// files the engine paces writes with per-batch delays instead of
   /// running into the hard stop-trigger stall. 0 disables pacing. Ignored

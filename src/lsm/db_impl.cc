@@ -412,7 +412,6 @@ Status DBImpl::Write(const WriteOptions& options, WriteBatch* updates) {
   if (options_.read_only) {
     return Status::InvalidArgument("database opened read-only");
   }
-  if (!options_.enable_group_commit) return WriteSerialized(options, updates);
   const uint64_t op_start_micros = clock_->NowMicros();
 
   Writer w(updates, options.sync || options_.sync_writes, &mu_);
@@ -426,7 +425,7 @@ Status DBImpl::Write(const WriteOptions& options, WriteBatch* updates) {
 
   // This thread is the leader: until it pops itself off writers_, it has
   // exclusive ownership of mem_/log_/logfile_, even across the unlock below.
-  Status status = MakeRoomForWrite(updates->ApproximateSize());
+  Status status = MakeRoomForWrite(w);
   Writer* last_writer = &w;
   if (status.ok()) {
     WriteBatch* write_batch = BuildBatchGroup(&last_writer);
@@ -513,90 +512,16 @@ Status DBImpl::Write(const WriteOptions& options, WriteBatch* updates) {
   return status;
 }
 
-Status DBImpl::WriteSerialized(const WriteOptions& options, WriteBatch* updates) {
-  // Seed write path (one global mutex across WAL + sync + memtable insert);
-  // kept behind Options::enable_group_commit=false for ablation.
-  const uint64_t op_start_micros = clock_->NowMicros();
-  const auto record_latency = [&] {
-    write_latency_rec_.Record(clock_->NowMicros() - op_start_micros);
-  };
-  MutexLock lock(&mu_);
-  {
-    const Status room = MakeRoomForWrite(updates->ApproximateSize());
-    if (!room.ok()) {
-      record_latency();
-      return room;
-    }
-  }
-
-  const SequenceNumber sequence = versions_->LastSequence() + 1;
-  updates->SetSequence(sequence);
-  versions_->SetLastSequence(sequence +
-                             static_cast<SequenceNumber>(updates->Count()) - 1);
-  const size_t user_bytes = updates->Contents().size();
-
-  WriteBatch* log_batch = updates;
-  if (vlog_ != nullptr) {
-    Status s;
-    log_batch = SeparateLargeValues(updates, &s);
-    if (!s.ok()) {
-      RecordBackgroundError(s);
-      if (log_batch == &tmp_vlog_batch_) tmp_vlog_batch_.Clear();
-      record_latency();
-      return s;
-    }
-    if (log_batch != updates) ++stats_.value_log_separated_batches;
-  }
-
-  if (!options_.disable_wal) {
-    Status s = log_->AddRecord(log_batch->Contents());
-    if (s.ok()) {
-      stats_.wal_bytes += log_batch->Contents().size();
-      if (options.sync || options_.sync_writes) {
-        if (vlog_ != nullptr) s = vlog_->Sync();
-        if (s.ok()) s = logfile_->Sync();
-      }
-    }
-    if (!s.ok()) {
-      // Same contract as the group-commit path: a failed WAL append/fsync
-      // leaves the log in an unknown state, so the engine goes read-only.
-      RecordBackgroundError(s);
-      if (log_batch == &tmp_vlog_batch_) tmp_vlog_batch_.Clear();
-      record_latency();
-      return s;
-    }
-  }
-
-  const Status insert_status = log_batch->InsertInto(mem_);
-  if (log_batch == &tmp_vlog_batch_) tmp_vlog_batch_.Clear();
-  if (!insert_status.ok()) {
-    record_latency();
-    return insert_status;
-  }
-  stats_.bytes_written += user_bytes;
-  struct Counter final : WriteBatch::Handler {
-    uint64_t puts = 0, dels = 0;
-    void Put(const Slice&, const Slice&) override { ++puts; }
-    void Delete(const Slice&) override { ++dels; }
-  } counter;
-  // Counting handler over an already-applied batch: cannot fail.
-  updates->Iterate(&counter).IgnoreError();
-  stats_.puts += counter.puts;
-  stats_.deletes += counter.dels;
-  ReportPoolUsage(/*wrote=*/true);
-  record_latency();
-  return Status::OK();
-}
-
 void DBImpl::RecordBackgroundError(const Status& s) {
   assert(!s.ok());
   if (bg_error_.ok()) {
     LSMIO_WARN << "entering read-only mode: " << s.ToString();
     bg_error_ = s;
-    // Wake writers stalled in MakeRoomForWrite/FlushMemTable so they can
-    // observe the latch and fail instead of waiting forever.
+    // Wake the writer stalled in MakeRoomForWrite/FlushMemTable (and the
+    // completion waiters) so they observe the latch instead of waiting
+    // forever.
     bg_cv_.SignalAll();
-    stall_cv_.SignalAll();
+    stall_cv_.Signal();
   }
 }
 
@@ -724,41 +649,24 @@ void DBImpl::ArbiterFlushCall() {
   bg_cv_.SignalAll();
 }
 
-void DBImpl::StallWait(int cause) {
-  StallWindow& window = stall_windows_[cause];
-  if (window.waiters == 0) window.start_micros = clock_->NowMicros();
-  ++window.waiters;
+void DBImpl::StallWait(StallCause cause, [[maybe_unused]] const Writer& self) {
+  // Only the writers_ front ever parks here, so there is never more than
+  // one waiter: charging each wait to its cause counts stall time once.
+  assert(!writers_.empty() && writers_.front() == &self);
+  const uint64_t start = clock_->NowMicros();
   stall_cv_.Wait();
-  --window.waiters;
-  if (window.waiters == 0) {
-    const uint64_t now = clock_->NowMicros();
-    const uint64_t elapsed =
-        now > window.start_micros ? now - window.start_micros : 0;
-    stats_.write_stall_micros += elapsed;
-    if (cause == kStallMemTable) {
-      stats_.stall_memtable_micros += elapsed;
-    } else {
-      stats_.stall_l0_micros += elapsed;
-    }
+  const uint64_t now = clock_->NowMicros();
+  const uint64_t elapsed = now > start ? now - start : 0;
+  stats_.write_stall_micros += elapsed;
+  if (cause == kStallMemTable) {
+    stats_.stall_memtable_micros += elapsed;
+  } else {
+    stats_.stall_l0_micros += elapsed;
   }
 }
 
-void DBImpl::SignalStalledWriters(bool l0_changed) {
-  if (l0_changed || !bg_error_.ok() ||
-      stall_windows_[kStallL0].waiters > 0) {
-    // L0 state changed (or an error latched, or both causes are parked on
-    // the one CV): everyone must recheck.
-    stall_cv_.SignalAll();
-  } else if (stall_windows_[kStallMemTable].waiters > 0) {
-    // One flush slot freed admits one memtable switch: wake one waiter,
-    // not the herd — the rest would just measure the queue full again and
-    // go back to sleep, multiplying wakeups (and, before the per-cause
-    // windows above, stall time) by the writer count.
-    stall_cv_.Signal();
-  }
-}
-
-Status DBImpl::MakeRoomForWrite(uint64_t batch_bytes) {
+Status DBImpl::MakeRoomForWrite(const Writer& leader) {
+  const uint64_t batch_bytes = leader.batch->ApproximateSize();
   bool delay_done = false;
   // Under a global write-memory pool the fixed write_buffer_size stops
   // being the flush trigger: the memtable grows until the pool picks this
@@ -797,7 +705,7 @@ Status DBImpl::MakeRoomForWrite(uint64_t batch_bytes) {
       // The empty-memtable check matters when write_buffer_size is smaller
       // than the arena's first block: switching would just install another
       // over-budget empty memtable, forever.
-      if (!delay_done && batch_bytes > 0 && write_controller_.ShouldDelay()) {
+      if (!delay_done && write_controller_.ShouldDelay()) {
         // Graduated backpressure: L0 (or the immutable queue) is inside
         // the soft window, so pace this batch instead of racing toward the
         // hard stall. Applied at most once per write, with the mutex
@@ -822,7 +730,7 @@ Status DBImpl::MakeRoomForWrite(uint64_t batch_bytes) {
       // Every allowed memtable is full and queued; wait for a flush to
       // retire the oldest one (and make sure one is actually scheduled).
       MaybeScheduleFlush();
-      StallWait(kStallMemTable);
+      StallWait(kStallMemTable, leader);
       continue;
     }
     if (!options_.disable_compaction &&
@@ -830,7 +738,7 @@ Status DBImpl::MakeRoomForWrite(uint64_t batch_bytes) {
       // Hard L0 stall. Make sure the compaction that relieves it is
       // actually scheduled before parking.
       MaybeScheduleCompaction();
-      StallWait(kStallL0);
+      StallWait(kStallL0, leader);
       continue;
     }
     if (arbiter_switch) {
@@ -893,7 +801,7 @@ Status DBImpl::FlushMemTable(bool wait) {
     if (s.ok() && mem_->num_entries() > 0) {
       while (MemTableQueueFull() && bg_error_.ok()) {
         MaybeScheduleFlush();
-        StallWait(kStallMemTable);
+        StallWait(kStallMemTable, w);
       }
       s = bg_error_.ok() ? SwitchMemTable() : ReadOnlyError();
     }
@@ -1163,9 +1071,9 @@ Status DBImpl::CompactMemTable(MemTable* imm) {
     // recomputing pressure so pacing sees the release immediately.
     ReportPoolUsage(/*wrote=*/false);
     // A flush slot freed (and L0 grew): recompute pacing pressure and
-    // admit stalled writers.
+    // wake the stalled writer, if any.
     RefreshWritePressure();
-    SignalStalledWriters(/*l0_changed=*/false);
+    stall_cv_.Signal();
   }
   return s;
 }
@@ -1544,9 +1452,9 @@ Status DBImpl::CompactFiles(int level,
     }
     RemoveObsoleteFiles();
     // L0 (or a deeper level) shrank: drop pacing pressure accordingly and
-    // release writers hard-stalled on the L0 stop trigger.
+    // release a writer hard-stalled on the L0 stop trigger.
     RefreshWritePressure();
-    SignalStalledWriters(/*l0_changed=*/true);
+    stall_cv_.Signal();
   }
   return s;
 }

@@ -145,12 +145,6 @@ struct Options {
   /// runs at a time regardless of this value.
   int background_threads = 1;
 
-  /// Group commit: concurrent DB::Write callers queue up, the front writer
-  /// merges the pending batches and performs one WAL append + sync for the
-  /// whole group with the DB mutex released. Disable to fall back to the
-  /// fully serialized write path (kept for ablation benchmarks).
-  bool enable_group_commit = true;
-
   // --- sharding -------------------------------------------------------------
 
   /// Number of hash shards the keyspace is partitioned into. 1 (default)

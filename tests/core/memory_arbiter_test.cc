@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/units.h"
@@ -219,6 +221,11 @@ TEST_F(ArbiterManagerTest, ForcedFlushOnColdStoreDoesNotBlockHotStore) {
   tight.write_budget_bytes = 4 * MiB;
   tight.flush_watermark = 0.5;
   tight.min_victim_bytes = 16 * KiB;
+  // Above the cold store's ~1 MiB, so that memtable stays resident and the
+  // hot store's active memtable alone carries usage past the 2 MiB
+  // watermark. At the default 1 MiB cap the cold store flushes itself, and
+  // the crossing would depend on the hot store's flushes lagging its writes.
+  tight.max_memtable_bytes = 2 * MiB;
   MemoryArbiter arbiter(tight);
 
   LsmioOptions options;
@@ -248,11 +255,21 @@ TEST_F(ArbiterManagerTest, ForcedFlushOnColdStoreDoesNotBlockHotStore) {
   // The arbiter picked at least one victim, and the cold store took at
   // least one forced flush (it is the coldest eligible attachment).
   EXPECT_GE(arbiter.flush_requests(), 1u);
+  // The forced switch runs on the victim's background pool. Wait for it
+  // before the barriers: a barrier that got there first would switch the
+  // memtable itself and leave the forced flush nothing to do.
+  const auto forced_flushes = [&] {
+    return cold->engine_stats().arbiter_forced_flushes +
+           hot->engine_stats().arbiter_forced_flushes;
+  };
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (arbiter.flush_requests() > 0 && forced_flushes() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   ASSERT_TRUE(cold->WriteBarrier(BarrierMode::kSync).ok());
   ASSERT_TRUE(hot->WriteBarrier(BarrierMode::kSync).ok());
-  EXPECT_GE(cold->engine_stats().arbiter_forced_flushes +
-                hot->engine_stats().arbiter_forced_flushes,
-            1u);
+  EXPECT_GE(forced_flushes(), 1u);
 
   // The hot store's group-commit leader was never parked on the cold
   // store's flush: no hard write stalls on the hot store.

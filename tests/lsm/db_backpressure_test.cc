@@ -12,6 +12,7 @@
 
 #include "common/units.h"
 #include "lsm/db.h"
+#include "testutil/slow_table_vfs.h"
 #include "vfs/mem_vfs.h"
 
 namespace lsmio::lsm {
@@ -34,72 +35,6 @@ class DbBackpressureTest : public ::testing::Test {
 
   vfs::MemVfs fs_;
   std::unique_ptr<DB> db_;
-};
-
-// Vfs decorator slowing appends to .sst files so flushes/compactions take
-// long enough for writers to pile up against the memtable queue / L0.
-class SlowTableVfs final : public vfs::Vfs {
- public:
-  explicit SlowTableVfs(vfs::Vfs& base, int delay_us)
-      : base_(base), delay_us_(delay_us) {}
-
-  Status NewWritableFile(const std::string& path, const vfs::OpenOptions& opts,
-                         std::unique_ptr<vfs::WritableFile>* file) override {
-    std::unique_ptr<vfs::WritableFile> inner;
-    LSMIO_RETURN_IF_ERROR(base_.NewWritableFile(path, opts, &inner));
-    const bool slow = path.size() > 4 && path.rfind(".sst") == path.size() - 4;
-    *file = std::make_unique<Writable>(std::move(inner), slow ? delay_us_ : 0);
-    return Status::OK();
-  }
-  Status NewRandomAccessFile(const std::string& path, const vfs::OpenOptions& opts,
-                             std::unique_ptr<vfs::RandomAccessFile>* file) override {
-    return base_.NewRandomAccessFile(path, opts, file);
-  }
-  Status NewSequentialFile(const std::string& path, const vfs::OpenOptions& opts,
-                           std::unique_ptr<vfs::SequentialFile>* file) override {
-    return base_.NewSequentialFile(path, opts, file);
-  }
-  Status OpenFileHandle(const std::string& path, bool create,
-                        const vfs::OpenOptions& opts,
-                        std::unique_ptr<vfs::FileHandle>* file) override {
-    return base_.OpenFileHandle(path, create, opts, file);
-  }
-  bool FileExists(const std::string& path) override { return base_.FileExists(path); }
-  Status GetFileSize(const std::string& path, uint64_t* size) override {
-    return base_.GetFileSize(path, size);
-  }
-  Status RemoveFile(const std::string& path) override { return base_.RemoveFile(path); }
-  Status RenameFile(const std::string& from, const std::string& to) override {
-    return base_.RenameFile(from, to);
-  }
-  Status CreateDir(const std::string& path) override { return base_.CreateDir(path); }
-  Status ListDir(const std::string& path, std::vector<std::string>* out) override {
-    return base_.ListDir(path, out);
-  }
-
- private:
-  class Writable final : public vfs::WritableFile {
-   public:
-    Writable(std::unique_ptr<vfs::WritableFile> inner, int delay_us)
-        : inner_(std::move(inner)), delay_us_(delay_us) {}
-    Status Append(const Slice& data) override {
-      if (delay_us_ > 0) {
-        std::this_thread::sleep_for(std::chrono::microseconds(delay_us_));
-      }
-      return inner_->Append(data);
-    }
-    Status Flush() override { return inner_->Flush(); }
-    Status Sync() override { return inner_->Sync(); }
-    Status Close() override { return inner_->Close(); }
-    [[nodiscard]] uint64_t Size() const override { return inner_->Size(); }
-
-   private:
-    std::unique_ptr<vfs::WritableFile> inner_;
-    int delay_us_;
-  };
-
-  vfs::Vfs& base_;
-  const int delay_us_;
 };
 
 // With compaction enabled but never triggering (huge l0_compaction_trigger),
@@ -156,7 +91,7 @@ TEST_F(DbBackpressureTest, CompactionDisabledNeverDelaysWrites) {
 // Memtable-queue stalls land in stall_memtable_micros, and the legacy
 // write_stall_micros total is exactly the sum of the per-cause counters.
 TEST_F(DbBackpressureTest, MemTableStallsAreAttributedToTheirCause) {
-  SlowTableVfs slow(fs_, /*delay_us=*/2000);
+  testutil::SlowTableVfs slow(fs_, /*delay_us=*/2000);
   Options options = BaseOptions();
   options.vfs = &slow;
   options.disable_compaction = true;
@@ -184,7 +119,7 @@ TEST_F(DbBackpressureTest, MemTableStallsAreAttributedToTheirCause) {
 // land in stall_l0_micros, and the sum invariant holds with both causes
 // potentially active.
 TEST_F(DbBackpressureTest, L0StallsAreAttributedToTheirCause) {
-  SlowTableVfs slow(fs_, /*delay_us=*/2000);
+  testutil::SlowTableVfs slow(fs_, /*delay_us=*/2000);
   Options options = BaseOptions();
   options.vfs = &slow;
   options.disable_compaction = false;
@@ -214,33 +149,45 @@ TEST_F(DbBackpressureTest, L0StallsAreAttributedToTheirCause) {
   db_.reset();
 }
 
-// Thundering-herd regression: with N writers parked on a full memtable
-// queue, the stall counters must record the wall-clock window once — not
-// once per waiting writer. Serialized writes (no group commit) put every
-// thread into MakeRoomForWrite itself, the worst case for the old
-// accounting, which would report up to N x the elapsed time.
+// Thundering-herd regression: 8 writers and two threads issuing flush
+// barriers contend for a full memtable queue, so both stalling callers take
+// turns at the front of the writer queue (the group-commit leader in
+// MakeRoomForWrite, the FlushMemTable switch writer waiting for a queue
+// slot) while every other thread waits behind them. The stall counters must
+// record wall-clock time once, not once per waiting thread (up to N x the
+// elapsed time).
 TEST_F(DbBackpressureTest, StallTimeDoesNotMultiplyWithWriterCount) {
-  SlowTableVfs slow(fs_, /*delay_us=*/3000);
+  testutil::SlowTableVfs slow(fs_, /*delay_us=*/3000);
   Options options = BaseOptions();
   options.vfs = &slow;
   options.disable_compaction = true;
-  options.enable_group_commit = false;
   options.max_write_buffer_number = 2;
   Open(options);
 
   constexpr int kThreads = 8;
+  constexpr int kFlushers = 2;
   constexpr int kOpsPerThread = 20;
   const std::string value(1 * KiB, 'h');
   std::atomic<int> failures{0};
+  std::atomic<int> writers_left{kThreads};
 
   const auto start = std::chrono::steady_clock::now();
   std::vector<std::thread> threads;
-  threads.reserve(kThreads);
+  threads.reserve(kThreads + kFlushers);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kOpsPerThread; ++i) {
         const std::string key = "t" + std::to_string(t) + "." + std::to_string(i);
         if (!db_->Put({}, key, value).ok()) ++failures;
+      }
+      --writers_left;
+    });
+  }
+  for (int f = 0; f < kFlushers; ++f) {
+    threads.emplace_back([&] {
+      while (writers_left.load() > 0) {
+        if (!db_->FlushMemTable(/*wait=*/false).ok()) ++failures;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
     });
   }
@@ -257,7 +204,7 @@ TEST_F(DbBackpressureTest, StallTimeDoesNotMultiplyWithWriterCount) {
   // Wall-clock accounting: the recorded stall time cannot exceed the whole
   // write phase (plus scheduling slack), let alone approach N x it.
   EXPECT_LT(stats.write_stall_micros, elapsed_micros * 3 / 2);
-  // Every serialized write still landed in the latency histogram.
+  // Every write landed in the latency histogram; flush barriers add none.
   EXPECT_EQ(stats.write_latency.count(),
             static_cast<uint64_t>(kThreads) * kOpsPerThread);
 
