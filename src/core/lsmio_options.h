@@ -44,9 +44,6 @@ struct LsmioOptions {
   uint64_t block_size = 4 * KiB;
 
   // --- read path ---
-  /// Keep each open table's index and filter blocks pinned for the table's
-  /// lifetime instead of round-tripping through the block cache per probe.
-  bool pin_index_and_filter = true;
   /// Readahead window for compaction input scans (0 disables).
   uint64_t compaction_readahead_bytes = 1 * MiB;
 

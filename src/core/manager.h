@@ -104,7 +104,6 @@ class Manager {
   [[nodiscard]] uint64_t memory_tenant_id() const {
     return store_->MemoryTenantId();
   }
-  [[nodiscard]] Store& store() noexcept { return *store_; }
 
  private:
   Manager(LsmioOptions options, std::unique_ptr<Store> store)

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/coding.h"
+#include "common/units.h"
 #include "core/manager.h"
 
 namespace lsmio {
@@ -29,42 +30,72 @@ std::string IndexKey(const std::string& name) { return "i!" + name; }
 /// A block index entry: fixed64 offset | fixed64 count | fixed32 elem size.
 constexpr size_t kIndexEntrySize = 8 + 8 + 4;
 
-/// Small positive integer parameter, or `fallback` when absent/invalid.
-int ParameterInt(a2::IO& io, const std::string& key, int fallback) {
-  const std::string value = io.Parameter(key);
-  if (value.empty()) return fallback;
-  int parsed = 0;
-  for (const char c : value) {
-    if (c < '0' || c > '9' || parsed > 1000) return fallback;
-    parsed = parsed * 10 + (c - '0');
-  }
-  return parsed > 0 ? parsed : fallback;
+Status BadParameter(const std::string& key, const std::string& value) {
+  return Status::InvalidArgument("LsmioPlugin parameter " + key + "='" +
+                                 value + "'");
 }
 
-LsmioOptions PluginOptions(a2::IO& io) {
-  LsmioOptions options;
-  options.vfs = &io.fs();
+/// Integer parameter in [1, 1000]; `*out` keeps its default when absent.
+Status ParameterInt(const a2::IO& io, const std::string& key, int* out) {
+  const std::string value = io.Parameter(key);
+  if (value.empty()) return Status::OK();
+  int parsed = 0;
+  for (const char c : value) {
+    if (c < '0' || c > '9') return BadParameter(key, value);
+    parsed = parsed * 10 + (c - '0');
+    if (parsed > 1000) return BadParameter(key, value);
+  }
+  if (parsed == 0) return BadParameter(key, value);
+  *out = parsed;
+  return Status::OK();
+}
+
+/// "true" or "false"; `*out` keeps its default when absent.
+Status ParameterBool(const a2::IO& io, const std::string& key, bool* out) {
+  const std::string value = io.Parameter(key);
+  if (value.empty()) return Status::OK();
+  if (value != "true" && value != "false") return BadParameter(key, value);
+  *out = value == "true";
+  return Status::OK();
+}
+
+/// Byte size ("32MB", "4096"); `*out` keeps its default when absent.
+Status ParameterBytes(const a2::IO& io, const std::string& key, uint64_t* out) {
+  const std::string value = io.Parameter(key);
+  if (value.empty()) return Status::OK();
+  const auto parsed = ParseBytes(value);
+  if (!parsed.ok()) return BadParameter(key, value);
+  *out = parsed.value();
+  return Status::OK();
+}
+
+/// Store options from the engine's XML parameters; a malformed value fails
+/// the open with InvalidArgument naming the key and the value.
+Status PluginOptions(a2::IO& io, LsmioOptions* options) {
+  options->vfs = &io.fs();
   // Inherit the A2 buffer configuration (paper §3.1.1: "inherit the value
-  // from ADIOS2 configuration when used as a plugin").
-  options.write_buffer_size = io.ParameterBytes("BufferChunkSize", 32 * MiB);
-  options.block_size = io.ParameterBytes("BlockSize", 4 * KiB);
-  options.sync_writes = io.Parameter("Sync") == "true";
-  options.use_mmap = io.Parameter("Mmap") == "true";
+  // from ADIOS2 configuration when used as a plugin"); the default is
+  // ADIOS2's 32 MB.
+  LSMIO_RETURN_IF_ERROR(
+      ParameterBytes(io, "BufferChunkSize", &options->write_buffer_size));
+  LSMIO_RETURN_IF_ERROR(ParameterBytes(io, "BlockSize", &options->block_size));
+  LSMIO_RETURN_IF_ERROR(ParameterBool(io, "Sync", &options->sync_writes));
+  LSMIO_RETURN_IF_ERROR(ParameterBool(io, "Mmap", &options->use_mmap));
   // Write pipeline knobs (XML <parameter key="..."/>).
-  options.background_threads =
-      ParameterInt(io, "BackgroundThreads", options.background_threads);
-  options.max_write_buffer_number =
-      ParameterInt(io, "MaxWriteBufferNumber", options.max_write_buffer_number);
-  options.num_shards = ParameterInt(io, "NumShards", options.num_shards);
-  return options;
+  LSMIO_RETURN_IF_ERROR(
+      ParameterInt(io, "BackgroundThreads", &options->background_threads));
+  LSMIO_RETURN_IF_ERROR(ParameterInt(io, "MaxWriteBufferNumber",
+                                     &options->max_write_buffer_number));
+  return ParameterInt(io, "NumShards", &options->num_shards);
 }
 
 class LsmioWriterEngine final : public a2::Engine {
  public:
   static Result<std::unique_ptr<a2::Engine>> Make(a2::IO& io, const std::string& path) {
+    LsmioOptions options;
+    LSMIO_RETURN_IF_ERROR(PluginOptions(io, &options));
     auto engine = std::unique_ptr<LsmioWriterEngine>(new LsmioWriterEngine());
-    LSMIO_RETURN_IF_ERROR(Manager::Open(PluginOptions(io),
-                                        StoreDir(path, io.rank()),
+    LSMIO_RETURN_IF_ERROR(Manager::Open(options, StoreDir(path, io.rank()),
                                         &engine->manager_));
     return {std::unique_ptr<a2::Engine>(std::move(engine))};
   }
@@ -143,6 +174,9 @@ class LsmioWriterEngine final : public a2::Engine {
 class LsmioReaderEngine final : public a2::Engine {
  public:
   static Result<std::unique_ptr<a2::Engine>> Make(a2::IO& io, const std::string& path) {
+    LsmioOptions options;
+    LSMIO_RETURN_IF_ERROR(PluginOptions(io, &options));
+    options.read_only = true;  // many ranks open the same stores to read
     auto engine = std::unique_ptr<LsmioReaderEngine>(new LsmioReaderEngine());
 
     std::vector<std::string> children;
@@ -150,8 +184,6 @@ class LsmioReaderEngine final : public a2::Engine {
     bool any = false;
     for (const std::string& child : children) {
       if (child.rfind("lsmio.", 0) != 0) continue;
-      LsmioOptions options = PluginOptions(io);
-      options.read_only = true;  // many ranks open the same stores to read
       std::unique_ptr<Manager> manager;
       LSMIO_RETURN_IF_ERROR(Manager::Open(options, path + "/" + child, &manager));
       engine->stores_.push_back(std::move(manager));

@@ -60,16 +60,14 @@ class Store {
   [[nodiscard]] virtual lsm::DbStats EngineStats() const = 0;
   /// Verbose per-shard breakdown; a single entry (== EngineStats) when the
   /// backing engine is unsharded.
-  [[nodiscard]] virtual std::vector<lsm::DbStats> EngineStatsPerShard() const {
-    return {EngineStats()};
-  }
+  [[nodiscard]] virtual std::vector<lsm::DbStats> EngineStatsPerShard() const = 0;
   /// Health passthrough: OK while the engine accepts writes; the typed
   /// ReadOnly status once a WAL/manifest/flush failure latched the engine
   /// into sticky read-only mode (reopen to clear).
   [[nodiscard]] virtual Status Health() const = 0;
   /// Tenant id under LsmioOptions::memory_arbiter (0 when the store is not
   /// arbiter-managed). Feed to MemoryArbiter::Residency.
-  [[nodiscard]] virtual uint64_t MemoryTenantId() const { return 0; }
+  [[nodiscard]] virtual uint64_t MemoryTenantId() const = 0;
   /// Iterator over the full key space (caller deletes before the store),
   /// honouring the given engine read options (e.g. readahead_bytes for
   /// sequential restore scans, fill_cache=false for one-shot sweeps).

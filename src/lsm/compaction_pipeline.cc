@@ -6,11 +6,8 @@
 
 namespace lsmio::lsm {
 
-PipelinedKvSource::PipelinedKvSource(Iterator* iter, size_t batch_bytes,
-                                     size_t max_queued_batches)
-    : batch_bytes_(batch_bytes < 1024 ? 1024 : batch_bytes),
-      max_queued_batches_(max_queued_batches < 1 ? 1 : max_queued_batches),
-      producer_([this, iter] { ProducerLoop(iter); }) {}
+PipelinedKvSource::PipelinedKvSource(Iterator* iter)
+    : producer_([this, iter] { ProducerLoop(iter); }) {}
 
 PipelinedKvSource::~PipelinedKvSource() {
   {
@@ -27,7 +24,7 @@ void PipelinedKvSource::ProducerLoop(Iterator* iter) {
   // one extra batch of input I/O on teardown, and it keeps the per-entry
   // hot loop lock-free.
   std::string batch;
-  batch.reserve(batch_bytes_);
+  batch.reserve(kBatchBytes);
   bool aborted = false;
   for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
     const Slice key = iter->key();
@@ -36,13 +33,13 @@ void PipelinedKvSource::ProducerLoop(Iterator* iter) {
     batch.append(key.data(), key.size());
     PutFixed32(&batch, static_cast<uint32_t>(value.size()));
     batch.append(value.data(), value.size());
-    if (batch.size() >= batch_bytes_) {
+    if (batch.size() >= kBatchBytes) {
       if (!PushBatch(std::move(batch))) {
         aborted = true;
         break;
       }
       batch.clear();
-      batch.reserve(batch_bytes_);
+      batch.reserve(kBatchBytes);
     }
   }
   if (!aborted && !batch.empty()) PushBatch(std::move(batch));
@@ -55,7 +52,7 @@ void PipelinedKvSource::ProducerLoop(Iterator* iter) {
 
 bool PipelinedKvSource::PushBatch(std::string batch) {
   MutexLock lock(&mu_);
-  while (ready_.size() >= max_queued_batches_ && !cancelled_) {
+  while (ready_.size() >= kMaxQueuedBatches && !cancelled_) {
     producer_cv_.Wait();
   }
   if (cancelled_) return false;

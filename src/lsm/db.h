@@ -144,21 +144,13 @@ class DB {
   /// Batched point lookup: fills (*values)[i] / (*statuses)[i] for keys[i]
   /// (both resized to keys.size()), all at one consistent sequence number.
   /// The returned Status reflects batch-level failures (I/O errors);
-  /// per-key presence is in *statuses (OK / NotFound). The base
-  /// implementation loops over Get; DBImpl overrides it with a batch that
-  /// resolves memtable hits under one mutex acquisition, groups the rest by
-  /// table file, and coalesces adjacent block reads.
+  /// per-key presence is in *statuses (OK / NotFound). Memtable hits
+  /// resolve under one mutex acquisition; the rest are grouped by table
+  /// file with adjacent block reads coalesced.
   virtual Status MultiGet(const ReadOptions& options,
                           std::span<const Slice> keys,
                           std::vector<std::string>* values,
-                          std::vector<Status>* statuses) {
-    values->assign(keys.size(), {});
-    statuses->assign(keys.size(), Status::OK());
-    for (size_t i = 0; i < keys.size(); ++i) {
-      (*statuses)[i] = Get(options, keys[i], &(*values)[i]);
-    }
-    return Status::OK();
-  }
+                          std::vector<Status>* statuses) = 0;
 
   /// Iterator over the DB (caller deletes before the DB closes).
   virtual Iterator* NewIterator(const ReadOptions& options) = 0;
@@ -185,7 +177,7 @@ class DB {
   /// latched the engine into sticky read-only mode, returns the ReadOnly
   /// status every subsequent write receives. Reads keep working either way;
   /// reopen the DB to clear the condition.
-  virtual Status HealthStatus() const { return Status::OK(); }
+  virtual Status HealthStatus() const = 0;
 
   /// Engine counters. On a sharded store these are whole-store aggregates:
   /// counters are summed across shards, gauges (queue depths, read-only

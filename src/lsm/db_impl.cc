@@ -633,15 +633,20 @@ void DBImpl::ArbiterFlushCall() {
       // watermark) rather than queue more stall pressure behind it.
       arbiter_switch_requested_.store(false, std::memory_order_release);
       MaybeScheduleFlush();
-    } else if (writers_.empty() && mem_->num_entries() > 0) {
+    } else if (writers_.empty()) {
       // Idle store — the common victim (cold tenants have no writers in
       // flight). An empty writer queue under mu_ gives this thread the
-      // same mem_/log_ exclusivity a group-commit leader has.
+      // same mem_/log_ exclusivity a group-commit leader has. The request
+      // is consumed even when something else (a barrier, a size switch)
+      // already emptied the memtable, or the next write group would
+      // force-switch a memtable the arbiter never picked.
       arbiter_switch_requested_.store(false, std::memory_order_release);
-      ++stats_.arbiter_forced_flushes;
-      const Status s = SwitchMemTable();
-      if (!s.ok()) RecordBackgroundError(s);
-      ReportPoolUsage(/*wrote=*/false);
+      if (mem_->num_entries() > 0) {
+        ++stats_.arbiter_forced_flushes;
+        const Status s = SwitchMemTable();
+        if (!s.ok()) RecordBackgroundError(s);
+        ReportPoolUsage(/*wrote=*/false);
+      }
     }
     // else: a write group is in flight — its leader consumes the flag in
     // MakeRoomForWrite without ever blocking on this store's behalf.
@@ -1230,16 +1235,10 @@ Status DBImpl::CompactFiles(int level,
   }();
 
   // Pipeline stage 1 (producer): block reads + decode + heap merge, i.e.
-  // everything behind Next on the merged iterator. With the pipeline on,
-  // a background thread runs it and feeds double-buffered entry batches;
-  // otherwise Next degenerates to an inline iterator step. `source` must
-  // be destroyed before `merged` (it drives the iterator from its thread).
-  std::unique_ptr<KvSource> source;
-  if (options_.pipeline_compaction_io) {
-    source = std::make_unique<PipelinedKvSource>(merged.get());
-  } else {
-    source = std::make_unique<IteratorKvSource>(merged.get());
-  }
+  // everything behind Next on the merged iterator, run by a background
+  // thread that feeds double-buffered entry batches. `source` must be
+  // destroyed before `merged` (it drives the iterator from its thread).
+  auto source = std::make_unique<PipelinedKvSource>(merged.get());
 
   std::vector<FileMetaData> outputs;
   std::vector<uint64_t> allocated_numbers;  // every number taken, for cleanup

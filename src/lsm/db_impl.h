@@ -295,13 +295,11 @@ class DBImpl final : public DB {
   std::unique_ptr<ThreadPool> owned_bg_pool_;         // unguarded: see bg_pool_
 };
 
-/// The compaction concurrency cap for `options`: the explicit
-/// max_concurrent_compactions when set, else max(1, background_threads-1)
-/// so one pool thread stays free for memtable flushes.
+/// The compaction concurrency cap for `options`: max(1,
+/// background_threads - 1), so one pool thread stays free for memtable
+/// flushes. Each shard runs at most one compaction at a time regardless,
+/// so a hot shard never holds more than one slot.
 inline int EffectiveCompactionCap(const Options& options) {
-  if (options.max_concurrent_compactions > 0) {
-    return options.max_concurrent_compactions;
-  }
   return std::max(1, options.background_threads - 1);
 }
 

@@ -127,12 +127,6 @@ struct Options {
   /// Capacity of the block cache (ignored when disable_cache).
   uint64_t block_cache_capacity = 8 * MiB;
 
-  /// Keep every open table's index and filter blocks pinned (cache handle
-  /// retained for the table's lifetime) instead of re-fetching them through
-  /// the block cache on each probe. Off = per-probe cache round trips, kept
-  /// as an ablation knob. Ignored (always pinned) when disable_cache.
-  bool pin_index_and_filter = true;
-
   /// Readahead window for compaction input reads: each input table iterator
   /// hints this many bytes ahead to the VFS (posix_fadvise + prefetch
   /// buffer on PosixVfs). 0 disables.
@@ -157,20 +151,6 @@ struct Options {
   /// recorded in a SHARDS marker file; reopening with a different value
   /// fails with InvalidArgument.
   int num_shards = 1;
-
-  /// Cap on compactions executing concurrently across all shards of a
-  /// store (each shard runs at most one compaction at a time regardless,
-  /// so a hot shard can never hold more than one slot — that is the
-  /// fairness guarantee). 0 = auto: max(1, background_threads - 1),
-  /// keeping one pool thread free for memtable flushes.
-  int max_concurrent_compactions = 0;
-
-  /// Overlap compaction I/O with merge compute (Pome-style pipeline): a
-  /// producer thread reads, decodes and heap-merges input blocks into
-  /// double-buffered entry batches while the consumer thread runs the
-  /// drop logic and encodes/writes output tables, and each finished
-  /// output's fsync overlaps the build of the next one.
-  bool pipeline_compaction_io = true;
 
   // --- value log (WAL-time key/value separation) ----------------------------
 

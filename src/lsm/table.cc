@@ -48,22 +48,17 @@ struct Table::Rep {
   ReadCounters* counters = nullptr;
 
   BlockHandle metaindex_handle;
-  BlockHandle index_handle;
-  BlockHandle filter_handle;
-  bool has_filter = false;
 
-  /// Pinned state (Options::pin_index_and_filter, or no block cache): the
-  /// index/filter are resolved once at Open and stay valid for the table's
-  /// lifetime — either table-owned or pinned in the cache via a retained
-  /// handle. When unpinned, these stay null and every probe round-trips
-  /// through the block cache.
+  /// Index and filter are resolved once at Open and stay valid for the
+  /// table's lifetime: pinned in the block cache via a retained handle when
+  /// there is one, table-owned otherwise.
   std::unique_ptr<Block> owned_index;
   Cache::Handle* pinned_index_handle = nullptr;
-  Block* pinned_index = nullptr;
+  Block* index = nullptr;
 
   std::unique_ptr<std::string> owned_filter_data;
   Cache::Handle* pinned_filter_handle = nullptr;
-  std::unique_ptr<FilterBlockReader> filter;  // over the pinned filter bytes
+  std::unique_ptr<FilterBlockReader> filter;  // null when the table has none
 
   /// End of the last readahead window hinted to the VFS; avoids re-hinting
   /// the same range for every block of a sequential scan.
@@ -136,35 +131,19 @@ Status Table::Open(const Options& options, const Comparator* comparator,
   rep->file = file;
   rep->counters = counters;
   rep->metaindex_handle = footer.metaindex_handle();
-  rep->index_handle = footer.index_handle();
 
-  // Without a cache there is nowhere to round-trip through, so the index is
-  // effectively always pinned (table-owned).
-  const bool pin = options.pin_index_and_filter || !rep->use_cache();
   auto index_block = std::make_unique<Block>(std::move(index_contents));
-  if (pin) {
-    if (rep->use_cache()) {
-      char key[16];
-      rep->CacheKey(rep->index_handle.offset(), key);
-      Block* raw = index_block.release();
-      rep->pinned_index_handle =
-          rep->block_cache->Insert(Slice(key, sizeof key), raw, raw->size(),
-                                   DeleteCachedBlock, rep->options.tenant_id);
-      rep->pinned_index = raw;
-    } else {
-      rep->pinned_index = index_block.get();
-      rep->owned_index = std::move(index_block);
-    }
-  } else {
-    // Unpinned: leave the freshly read index warm in the cache; probes will
-    // look it up (and re-read on eviction).
+  if (rep->use_cache()) {
     char key[16];
-    rep->CacheKey(rep->index_handle.offset(), key);
+    rep->CacheKey(footer.index_handle().offset(), key);
     Block* raw = index_block.release();
-    Cache::Handle* h =
+    rep->pinned_index_handle =
         rep->block_cache->Insert(Slice(key, sizeof key), raw, raw->size(),
                                  DeleteCachedBlock, rep->options.tenant_id);
-    rep->block_cache->Release(h);
+    rep->index = raw;
+  } else {
+    rep->index = index_block.get();
+    rep->owned_index = std::move(index_block);
   }
 
   auto* t = new Table(std::move(rep));
@@ -193,103 +172,32 @@ Status Table::ReadMeta(const Footer& footer) {
   Slice v = iter->value();
   BlockHandle filter_handle;
   LSMIO_RETURN_IF_ERROR(filter_handle.DecodeFrom(&v));
-  r->filter_handle = filter_handle;
 
   auto filter_data = std::make_unique<std::string>();
   LSMIO_RETURN_IF_ERROR(
       ReadBlockContents(r->file, opt, false, filter_handle, filter_data.get()));
-  r->has_filter = true;
 
-  const bool pin = r->options.pin_index_and_filter || !r->use_cache();
-  if (pin) {
-    std::string* raw = filter_data.release();
-    if (r->use_cache()) {
-      char ckey[16];
-      r->CacheKey(filter_handle.offset(), ckey);
-      r->pinned_filter_handle = r->block_cache->Insert(
-          Slice(ckey, sizeof ckey), raw, raw->size(), DeleteCachedFilterData,
-          r->options.tenant_id);
-    } else {
-      r->owned_filter_data.reset(raw);
-    }
-    r->filter = std::make_unique<FilterBlockReader>(r->filter_policy, Slice(*raw));
-  } else {
+  std::string* raw = filter_data.release();
+  if (r->use_cache()) {
     char ckey[16];
     r->CacheKey(filter_handle.offset(), ckey);
-    std::string* raw = filter_data.release();
-    Cache::Handle* h = r->block_cache->Insert(
+    r->pinned_filter_handle = r->block_cache->Insert(
         Slice(ckey, sizeof ckey), raw, raw->size(), DeleteCachedFilterData,
         r->options.tenant_id);
-    r->block_cache->Release(h);
-  }
-  return Status::OK();
-}
-
-Status Table::IndexBlock(Block** block, Cache::Handle** cache_handle) const {
-  Rep* r = rep_.get();
-  *cache_handle = nullptr;
-  if (r->pinned_index != nullptr) {
-    *block = r->pinned_index;
-    return Status::OK();
-  }
-  // Unpinned mode: round-trip through the block cache on every probe.
-  char key[16];
-  r->CacheKey(r->index_handle.offset(), key);
-  const Slice ckey(key, sizeof key);
-  Cache::Handle* h = r->block_cache->Lookup(ckey);
-  if (h != nullptr) {
-    r->CountCacheHit();
   } else {
-    r->CountCacheMiss();
-    ReadOptions opt;
-    opt.verify_checksums = r->options.paranoid_checks;
-    std::string contents;
-    LSMIO_RETURN_IF_ERROR(ReadBlockContents(r->file, opt, /*always_verify=*/true,
-                                            r->index_handle, &contents));
-    auto* raw = new Block(std::move(contents));
-    h = r->block_cache->Insert(ckey, raw, raw->size(), DeleteCachedBlock,
-                               r->options.tenant_id);
+    r->owned_filter_data.reset(raw);
   }
-  *block = static_cast<Block*>(r->block_cache->Value(h));
-  *cache_handle = h;
+  r->filter = std::make_unique<FilterBlockReader>(r->filter_policy, Slice(*raw));
   return Status::OK();
 }
 
 bool Table::FilterKeyMayMatch(uint64_t block_offset, const Slice& user_key) const {
   Rep* r = rep_.get();
-  if (!r->has_filter && r->filter == nullptr) return true;
+  if (r->filter == nullptr) return true;
   if (r->counters) {
     r->counters->bloom_checked.fetch_add(1, std::memory_order_relaxed);
   }
-  bool may_match = true;
-  if (r->filter != nullptr) {
-    may_match = r->filter->KeyMayMatch(block_offset, user_key);
-  } else {
-    // Unpinned: fetch the filter bytes through the cache for this probe.
-    char key[16];
-    r->CacheKey(r->filter_handle.offset(), key);
-    const Slice ckey(key, sizeof key);
-    Cache::Handle* h = r->block_cache->Lookup(ckey);
-    if (h != nullptr) {
-      r->CountCacheHit();
-    } else {
-      r->CountCacheMiss();
-      ReadOptions opt;
-      opt.verify_checksums = r->options.paranoid_checks;
-      auto data = std::make_unique<std::string>();
-      if (!ReadBlockContents(r->file, opt, false, r->filter_handle, data.get())
-               .ok()) {
-        return true;  // filter unavailable: cannot prove absence
-      }
-      std::string* raw = data.release();
-      h = r->block_cache->Insert(ckey, raw, raw->size(), DeleteCachedFilterData,
-                                 r->options.tenant_id);
-    }
-    const auto* data = static_cast<const std::string*>(r->block_cache->Value(h));
-    FilterBlockReader reader(r->filter_policy, Slice(*data));
-    may_match = reader.KeyMayMatch(block_offset, user_key);
-    r->block_cache->Release(h);
-  }
+  const bool may_match = r->filter->KeyMayMatch(block_offset, user_key);
   if (!may_match && r->counters) {
     r->counters->bloom_useful.fetch_add(1, std::memory_order_relaxed);
   }
@@ -366,16 +274,7 @@ Iterator* Table::NewBlockIterator(const ReadOptions& options,
 }
 
 Iterator* Table::NewIterator(const ReadOptions& options) const {
-  Block* index = nullptr;
-  Cache::Handle* index_handle = nullptr;
-  const Status s = IndexBlock(&index, &index_handle);
-  if (!s.ok()) return NewErrorIterator(s);
-
-  Iterator* index_iter = index->NewIterator(rep_->comparator);
-  if (index_handle != nullptr) {
-    Cache* cache = rep_->block_cache;
-    index_iter->RegisterCleanup([cache, index_handle] { cache->Release(index_handle); });
-  }
+  Iterator* index_iter = rep_->index->NewIterator(rep_->comparator);
   const Table* self = this;
   return NewTwoLevelIterator(
       index_iter,
@@ -388,19 +287,7 @@ Iterator* Table::NewIterator(const ReadOptions& options) const {
 Status Table::InternalGet(
     const ReadOptions& options, const Slice& internal_key,
     const std::function<void(const Slice&, const Slice&)>& handle_result) const {
-  Block* index = nullptr;
-  Cache::Handle* index_handle = nullptr;
-  LSMIO_RETURN_IF_ERROR(IndexBlock(&index, &index_handle));
-  Cache* cache = rep_->block_cache;
-  struct IndexRelease {
-    Cache* cache;
-    Cache::Handle* handle;
-    ~IndexRelease() {
-      if (handle != nullptr) cache->Release(handle);
-    }
-  } release{cache, index_handle};
-
-  std::unique_ptr<Iterator> index_iter(index->NewIterator(rep_->comparator));
+  std::unique_ptr<Iterator> index_iter(rep_->index->NewIterator(rep_->comparator));
   index_iter->Seek(internal_key);
   if (!index_iter->Valid()) return index_iter->status();
 
@@ -430,17 +317,6 @@ Status Table::MultiGet(
   if (internal_keys.empty()) return Status::OK();
   Rep* r = rep_.get();
 
-  Block* index = nullptr;
-  Cache::Handle* index_handle = nullptr;
-  LSMIO_RETURN_IF_ERROR(IndexBlock(&index, &index_handle));
-  struct IndexRelease {
-    Cache* cache;
-    Cache::Handle* handle;
-    ~IndexRelease() {
-      if (handle != nullptr) cache->Release(handle);
-    }
-  } release{r->block_cache, index_handle};
-
   // Pass 1: walk the index forward (keys are sorted, so block offsets are
   // non-decreasing), bloom-filter probes, group keys by data block.
   struct BlockWork {
@@ -449,7 +325,7 @@ Status Table::MultiGet(
   };
   std::vector<BlockWork> work;
   {
-    std::unique_ptr<Iterator> index_iter(index->NewIterator(r->comparator));
+    std::unique_ptr<Iterator> index_iter(r->index->NewIterator(r->comparator));
     BlockHandle handle;
     bool positioned = false;  // index_iter valid and `handle` decoded for it
     for (size_t i = 0; i < internal_keys.size(); ++i) {
@@ -615,23 +491,14 @@ Status Table::MultiGet(
 }
 
 uint64_t Table::ApproximateOffsetOf(const Slice& internal_key) const {
-  Block* index = nullptr;
-  Cache::Handle* index_handle = nullptr;
-  if (!IndexBlock(&index, &index_handle).ok()) {
-    return rep_->metaindex_handle.offset();
+  std::unique_ptr<Iterator> index_iter(rep_->index->NewIterator(rep_->comparator));
+  index_iter->Seek(internal_key);
+  if (index_iter->Valid()) {
+    Slice input = index_iter->value();
+    BlockHandle handle;
+    if (handle.DecodeFrom(&input).ok()) return handle.offset();
   }
-  uint64_t result = rep_->metaindex_handle.offset();  // ≈ file end
-  {
-    std::unique_ptr<Iterator> index_iter(index->NewIterator(rep_->comparator));
-    index_iter->Seek(internal_key);
-    if (index_iter->Valid()) {
-      Slice input = index_iter->value();
-      BlockHandle handle;
-      if (handle.DecodeFrom(&input).ok()) result = handle.offset();
-    }
-  }
-  if (index_handle != nullptr) rep_->block_cache->Release(index_handle);
-  return result;
+  return rep_->metaindex_handle.offset();  // ≈ file end
 }
 
 }  // namespace lsmio::lsm

@@ -31,10 +31,9 @@ class Table {
   /// `block_cache` may be null. `filter_policy` may be null. `counters`
   /// (optional) receives read-path statistics and must outlive the Table.
   ///
-  /// With Options::pin_index_and_filter (default) the index and filter
-  /// blocks are loaded once and stay pinned — cache-handle retained for the
-  /// table's lifetime when a block cache exists, table-owned otherwise.
-  /// When unpinned, every probe does a cache round trip per block.
+  /// The index and filter blocks are loaded once and stay pinned for the
+  /// table's lifetime: held in the block cache through a retained handle
+  /// when one is in use, table-owned otherwise.
   static Status Open(const Options& options, const Comparator* comparator,
                      const FilterPolicy* filter_policy, Cache* block_cache,
                      uint64_t cache_id, vfs::RandomAccessFile* file,
@@ -76,9 +75,6 @@ class Table {
 
   Iterator* NewBlockIterator(const ReadOptions& options, const Slice& index_value) const;
 
-  /// Returns the index block; *cache_handle is non-null when the block was
-  /// pinned in the cache for this call only (caller releases after use).
-  Status IndexBlock(Block** block, Cache::Handle** cache_handle) const;
   /// False when the bloom filter proves `user_key` absent from the data
   /// block at `block_offset`.
   bool FilterKeyMayMatch(uint64_t block_offset, const Slice& user_key) const;

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/random.h"
 #include "vfs/mem_vfs.h"
 
@@ -155,6 +159,59 @@ TEST_F(PluginTest, UncoveredSelectionFails) {
   var->SetSelection(0, 100);
   std::string out(100, '\0');
   EXPECT_TRUE(reader->Get(*var, out.data()).IsNotFound());
+}
+
+// A malformed engine parameter fails the open with InvalidArgument naming
+// the key and the value, for writers and readers alike, instead of
+// silently running on the default.
+TEST_F(PluginTest, MalformedParametersFailTheOpen) {
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"NumShards", "abc"},           {"NumShards", "-2"},
+      {"BackgroundThreads", "0"},     {"BackgroundThreads", "5000"},
+      {"MaxWriteBufferNumber", "2x"}, {"Sync", "yes"},
+      {"Mmap", "1"},                  {"BufferChunkSize", "lots"},
+      {"BlockSize", "4Q"},
+  };
+  for (const auto& [key, value] : bad) {
+    for (const a2::Mode mode : {a2::Mode::kWrite, a2::Mode::kRead}) {
+      a2::Adios adios(fs_);
+      a2::IO& io = adios.DeclareIO("ckpt");
+      io.SetEngine("LsmioPlugin");
+      io.SetParameter(key, value);
+      const auto engine = io.Open("/bad-params", mode);
+      ASSERT_FALSE(engine.ok()) << key << "=" << value;
+      const std::string message = engine.status().ToString();
+      EXPECT_TRUE(engine.status().IsInvalidArgument()) << message;
+      EXPECT_NE(message.find(key), std::string::npos) << message;
+      EXPECT_NE(message.find("'" + value + "'"), std::string::npos) << message;
+    }
+  }
+}
+
+TEST_F(PluginTest, WellFormedParametersAreAccepted) {
+  a2::Adios adios(fs_);
+  a2::IO& io = adios.DeclareIO("ckpt");
+  io.SetEngine("LsmioPlugin");
+  io.SetParameter("NumShards", "2");
+  io.SetParameter("BackgroundThreads", "3");
+  io.SetParameter("MaxWriteBufferNumber", "4");
+  io.SetParameter("Sync", "false");
+  io.SetParameter("Mmap", "true");
+  io.SetParameter("BufferChunkSize", "1MiB");
+  io.SetParameter("BlockSize", "8K");
+  a2::Variable* var = io.DefineVariable("v", 64, 0, 64, 4);
+
+  auto writer = io.Open("/good-params", a2::Mode::kWrite);
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  const std::string data(256, 'g');
+  ASSERT_TRUE(writer.value()->Put(*var, data.data(), a2::PutMode::kSync).ok());
+  ASSERT_TRUE(writer.value()->Close().ok());
+
+  auto reader = io.Open("/good-params", a2::Mode::kRead);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  std::string out(256, '\0');
+  ASSERT_TRUE(reader.value()->Get(*var, out.data()).ok());
+  EXPECT_EQ(out, data);
 }
 
 }  // namespace

@@ -6,14 +6,16 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/units.h"
 #include "lsm/db.h"
-#include "testutil/faulty_vfs.h"
+#include "lsm/memory_budget.h"
 #include "testutil/slow_table_vfs.h"
+#include "vfs/fault_vfs.h"
 #include "vfs/mem_vfs.h"
 
 namespace lsmio::lsm {
@@ -358,9 +360,9 @@ TEST_F(DbConcurrencyTest, MultiGetMatchesGetUnderConcurrency) {
 // (the request flag is cleared on every exit path).
 TEST_F(DbConcurrencyTest, FailedManualCompactionDoesNotWedge) {
   vfs::MemVfs mem;
-  testutil::FaultyVfs faulty(mem);
+  vfs::FaultVfs fault_fs(mem);
   Options options = BaseOptions();
-  options.vfs = &faulty;
+  options.vfs = &fault_fs;
   options.disable_compaction = false;
   options.l0_compaction_trigger = 100;
   Open(options);
@@ -370,15 +372,74 @@ TEST_F(DbConcurrencyTest, FailedManualCompactionDoesNotWedge) {
     ASSERT_TRUE(db_->FlushMemTable(/*wait=*/true).ok());
   }
 
-  faulty.Arm(1);  // the compaction's table write fails
+  fault_fs.Arm(vfs::FaultPoint{});  // the compaction's table write fails
   const Status first = db_->CompactRange();
   EXPECT_FALSE(first.ok());
-  faulty.Disarm();
+  fault_fs.Disarm();
 
   // Must return promptly (with the recorded error), not hang on a stale
   // manual_compaction_requested_ flag.
   const Status second = db_->CompactRange();
   EXPECT_FALSE(second.ok());
+  db_.reset();  // before the local vfs stack unwinds
+}
+
+// A write-memory pool that never picks victims itself: it keeps the
+// attached DB's victim callback so a test can fire it when it chooses.
+class ManualWritePool final : public WriteMemoryPool {
+ public:
+  uint64_t Attach(uint64_t, std::function<void()> request_flush) override {
+    request_flush_ = std::move(request_flush);
+    return 1;
+  }
+  void Detach(uint64_t) override { request_flush_ = nullptr; }
+  void UpdateUsage(uint64_t, uint64_t, bool) override {}
+  [[nodiscard]] uint64_t AttachmentCap() const override { return 64 * MiB; }
+  [[nodiscard]] double GlobalPressure() const override { return 0.0; }
+  [[nodiscard]] uint64_t TotalUsage() const override { return 0; }
+  [[nodiscard]] uint64_t Budget() const override { return 64 * MiB; }
+
+  void RequestFlush() { request_flush_(); }
+
+ private:
+  std::function<void()> request_flush_;
+};
+
+// A victim request that reaches an idle store whose memtable is already
+// empty (a barrier switched it first) must be consumed, not left armed:
+// otherwise the store's next write group force-switches a memtable the
+// arbiter never picked.
+TEST_F(DbConcurrencyTest, ArbiterRequestOnIdleEmptyStoreIsConsumed) {
+  ManualWritePool pool;
+  Options options = BaseOptions();
+  options.write_memory_pool = &pool;
+  options.background_threads = 1;  // one FIFO worker orders the tasks below
+  options.disable_compaction = false;
+  options.l0_compaction_trigger = 100;  // only manual compactions run
+  Open(options);
+
+  // One table on disk, so CompactRange has a compaction to queue.
+  ASSERT_TRUE(db_->Put({}, "seed", "v").ok());
+  ASSERT_TRUE(db_->FlushMemTable(/*wait=*/true).ok());
+
+  // The victim task finds the store idle and its memtable empty. The
+  // manual compaction queues behind it on the single worker, so once
+  // CompactRange returns the task has run.
+  pool.RequestFlush();
+  ASSERT_TRUE(db_->CompactRange().ok());
+  const DbStats before = db_->GetStats();
+  EXPECT_EQ(before.arbiter_forced_flushes, 0u);
+
+  ASSERT_TRUE(db_->Put({}, "a", "1").ok());
+  ASSERT_TRUE(db_->Put({}, "b", "2").ok());
+  // Queued behind any flush the puts scheduled: drains it before the check.
+  ASSERT_TRUE(db_->CompactRange().ok());
+  const DbStats after = db_->GetStats();
+  EXPECT_EQ(after.arbiter_forced_flushes, 0u);
+  EXPECT_EQ(after.memtable_flushes, before.memtable_flushes);
+  EXPECT_EQ(Get("a"), "1");
+  EXPECT_EQ(Get("b"), "2");
+  db_.reset();  // detaches from the local pool
 }
 
 }  // namespace

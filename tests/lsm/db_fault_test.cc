@@ -5,7 +5,7 @@
 
 #include "common/units.h"
 #include "lsm/db.h"
-#include "testutil/faulty_vfs.h"
+#include "vfs/fault_vfs.h"
 #include "vfs/mem_vfs.h"
 
 namespace lsmio::lsm {
@@ -13,17 +13,17 @@ namespace {
 
 class DbFaultTest : public ::testing::Test {
  protected:
-  DbFaultTest() : faulty_(mem_) {}
+  DbFaultTest() : fault_fs_(mem_) {}
 
   Options MakeOptions() {
     Options options;
-    options.vfs = &faulty_;
+    options.vfs = &fault_fs_;
     options.write_buffer_size = 64 * KiB;
     return options;
   }
 
   vfs::MemVfs mem_;
-  testutil::FaultyVfs faulty_;
+  vfs::FaultVfs fault_fs_;
 };
 
 TEST_F(DbFaultTest, WalWriteFailureSurfacesToCaller) {
@@ -32,11 +32,11 @@ TEST_F(DbFaultTest, WalWriteFailureSurfacesToCaller) {
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
 
-  faulty_.Arm(1);  // next write-class op fails
+  fault_fs_.Arm(vfs::FaultPoint{});  // next write-class op fails
   Status s = db->Put({}, "k", "v");
   EXPECT_TRUE(s.IsIoError()) << s.ToString();
-  EXPECT_GE(faulty_.failures(), 1);
-  faulty_.Disarm();
+  EXPECT_GE(fault_fs_.faults_injected(), 1);
+  fault_fs_.Disarm();
 }
 
 TEST_F(DbFaultTest, FlushFailureReportedByBarrier) {
@@ -46,12 +46,12 @@ TEST_F(DbFaultTest, FlushFailureReportedByBarrier) {
   ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
 
   ASSERT_TRUE(db->Put({}, "k", std::string(8 * KiB, 'v')).ok());
-  faulty_.Arm(1);
+  fault_fs_.Arm(vfs::FaultPoint{});
   // The flush happens in the background; the synchronous barrier must
   // observe and report the failure.
   Status s = db->FlushMemTable(true);
   EXPECT_FALSE(s.ok());
-  faulty_.Disarm();
+  fault_fs_.Disarm();
 }
 
 TEST_F(DbFaultTest, DataBeforeFaultSurvivesReopen) {
@@ -64,9 +64,9 @@ TEST_F(DbFaultTest, DataBeforeFaultSurvivesReopen) {
     ASSERT_TRUE(db->FlushMemTable(true).ok());  // durable before the fault
 
     ASSERT_TRUE(db->Put({}, "doomed", "maybe").ok());
-    faulty_.Arm(1);
+    fault_fs_.Arm(vfs::FaultPoint{});
     db->FlushMemTable(true).IgnoreError();  // fails mid-flush, by design
-    faulty_.Disarm();
+    fault_fs_.Disarm();
   }
 
   std::unique_ptr<DB> db;
@@ -85,23 +85,23 @@ TEST_F(DbFaultTest, LateFaultsDoNotAffectReads) {
   }
   ASSERT_TRUE(db->FlushMemTable(true).ok());
 
-  faulty_.Arm(1);  // all further writes fail...
+  fault_fs_.Arm(vfs::FaultPoint{});  // all further writes fail...
   std::string value;
   for (int i = 0; i < 20; ++i) {
     // ...but reads never touch the write path.
     EXPECT_TRUE(db->Get({}, "k" + std::to_string(i), &value).ok()) << i;
   }
-  faulty_.Disarm();
+  fault_fs_.Disarm();
 }
 
 TEST_F(DbFaultTest, OpenFailsCleanlyWhenManifestWriteFails) {
-  faulty_.Arm(1);
+  fault_fs_.Arm(vfs::FaultPoint{});
   Options options = MakeOptions();
   std::unique_ptr<DB> db;
   const Status s = DB::Open(options, "/fresh", &db);
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(db, nullptr);
-  faulty_.Disarm();
+  fault_fs_.Disarm();
 }
 
 }  // namespace
