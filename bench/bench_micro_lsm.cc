@@ -3,6 +3,7 @@
 // figure benchmarks (EXPERIMENTS.md documents the mapping).
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
 #include <memory>
 
 #include "common/crc32c.h"
@@ -12,8 +13,10 @@
 #include "lsm/compression.h"
 #include "lsm/db.h"
 #include "lsm/filter_policy.h"
+#include "lsm/iterator.h"
 #include "lsm/memtable.h"
 #include "lsm/skiplist.h"
+#include "lsm/table_builder.h"
 #include "vfs/mem_vfs.h"
 
 namespace {
@@ -106,6 +109,58 @@ void BM_MemTableAdd(benchmark::State& state) {
                           static_cast<int64_t>(value_size));
 }
 BENCHMARK(BM_MemTableAdd)->Arg(256)->Arg(4096)->Arg(65536);
+
+// Table file that keeps only its size: the flush produces every byte, but
+// nothing is stored, so no allocator or page-fault cost enters the timing.
+class DiscardFile final : public vfs::WritableFile {
+ public:
+  Status Append(const Slice& data) override {
+    size_ += data.size();
+    return Status::OK();
+  }
+  Status Flush() override { return Status::OK(); }
+  Status Sync() override { return Status::OK(); }
+  Status Close() override { return Status::OK(); }
+  [[nodiscard]] uint64_t Size() const override { return size_; }
+
+ private:
+  uint64_t size_ = 0;
+};
+
+// One memtable flush: 32 MiB of values of the given size, drained through
+// TableBuilder as BuildTable does. Times block encoding, value copies and
+// block CRCs, the flush thread's CPU work, without any file system.
+void BM_BuildTable(benchmark::State& state) {
+  const size_t value_size = static_cast<size_t>(state.range(0));
+  const size_t count = 32 * MiB / value_size;
+  InternalKeyComparator icmp(BytewiseComparator());
+  const std::unique_ptr<const FilterPolicy> policy(NewBloomFilterPolicy(10));
+  std::string value(value_size, '\0');
+  Rng rng(4);
+  rng.Fill(value.data(), value.size());
+  auto* mem = new MemTable(icmp);
+  mem->Ref();
+  for (size_t i = 0; i < count; ++i) {
+    char key[16];
+    std::snprintf(key, sizeof key, "key%08zu", i);
+    mem->Add(static_cast<SequenceNumber>(i + 1), ValueType::kValue, key, value);
+  }
+  const Options options;
+  for (auto _ : state) {
+    DiscardFile file;
+    TableBuilder builder(options, &icmp, policy.get(), &file);
+    std::unique_ptr<Iterator> iter(mem->NewIterator());
+    for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
+      builder.Add(iter->key(), iter->value());
+    }
+    builder.Finish().IgnoreError();  // DiscardFile appends cannot fail
+    benchmark::DoNotOptimize(file.Size());
+  }
+  mem->Unref();
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(count * value_size));
+}
+BENCHMARK(BM_BuildTable)->Arg(4096)->Arg(1 << 20)->Unit(benchmark::kMillisecond);
 
 void BM_BloomFilterCreate(benchmark::State& state) {
   auto policy = std::unique_ptr<const FilterPolicy>(NewBloomFilterPolicy(10));

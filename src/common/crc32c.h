@@ -25,7 +25,8 @@ namespace internal {
 uint32_t ExtendPortable(uint32_t init_crc, const char* data, size_t n) noexcept;
 /// True when ExtendHardware() may run on this CPU (x86-64 with SSE4.2).
 bool HardwareAvailable() noexcept;
-/// SSE4.2 crc32 path; only valid when HardwareAvailable(). Exposed, like
+/// SSE4.2 crc32 path, three interleaved streams merged with precomputed
+/// zero-byte shift tables; only valid when HardwareAvailable(). Exposed, like
 /// ExtendPortable(), so tests can check the two paths against each other.
 uint32_t ExtendHardware(uint32_t init_crc, const char* data, size_t n) noexcept;
 

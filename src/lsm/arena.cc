@@ -37,7 +37,8 @@ char* Arena::AllocateAligned(size_t bytes) {
 }
 
 char* Arena::AllocateNewBlock(size_t block_bytes) {
-  auto block = std::make_unique<char[]>(block_bytes);
+  // Not zero-filled: every byte handed out is written by its caller.
+  auto block = std::make_unique_for_overwrite<char[]>(block_bytes);
   char* result = block.get();
   blocks_.push_back(std::move(block));
   memory_usage_.fetch_add(block_bytes + sizeof(void*), std::memory_order_relaxed);

@@ -1066,11 +1066,12 @@ Status DBImpl::CompactMemTable(MemTable* imm) {
     stats_.memtable_flushes += 1;
     stats_.bytes_flushed += meta.file_size;
   }
+  MemTable* flushed = nullptr;
   if (s.ok()) {
     assert(!imm_queue_.empty() && imm_queue_.front() == imm);
     imm_queue_.pop_front();
     imm_log_queue_.pop_front();
-    imm->Unref();
+    flushed = imm;
     RemoveObsoleteFiles();
     // The flushed memtable's bytes just left the global pool; report before
     // recomputing pressure so pacing sees the release immediately.
@@ -1080,6 +1081,11 @@ Status DBImpl::CompactMemTable(MemTable* imm) {
     RefreshWritePressure();
     stall_cv_.Signal();
   }
+  lock.Unlock();
+  // Freeing the arena can take a while (one block per large entry); the
+  // queue no longer holds the memtable and the refcount is atomic, so the
+  // reference is dropped after releasing mu_.
+  if (flushed != nullptr) flushed->Unref();
   return s;
 }
 

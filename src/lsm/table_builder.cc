@@ -12,6 +12,16 @@
 #include "lsm/format.h"
 
 namespace lsmio::lsm {
+namespace {
+
+// Fills a block trailer: the type byte, then the masked CRC of the block
+// contents (`crc`) extended over that byte.
+void EncodeTrailer(uint32_t crc, CompressionType type, char* trailer) {
+  trailer[0] = static_cast<char>(type);
+  EncodeFixed32(trailer + 1, crc32c::Mask(crc32c::Extend(crc, trailer, 1)));
+}
+
+}  // namespace
 
 struct TableBuilder::Rep {
   Rep(const Options& opt, const Comparator* cmp, const FilterPolicy* filter,
@@ -84,6 +94,10 @@ void TableBuilder::Add(const Slice& key, const Slice& value) {
 
   r->last_key.assign(key.data(), key.size());
   ++r->num_entries;
+  if (r->data_block.empty() && WriteOneEntryBlock(key, value)) {
+    EndDataBlock();
+    return;
+  }
   r->data_block.Add(key, value);
 
   if (r->data_block.CurrentSizeEstimate() >= r->options.block_size) Flush();
@@ -95,8 +109,69 @@ void TableBuilder::Flush() {
   if (!r->status.ok() || r->data_block.empty()) return;
   assert(!r->pending_index_entry);
   WriteBlock(&r->data_block, &r->pending_handle);
+  EndDataBlock();
+}
+
+void TableBuilder::EndDataBlock() {
+  Rep* r = rep_.get();
   if (r->status.ok()) r->pending_index_entry = true;
   if (r->filter_block != nullptr) r->filter_block->StartBlock(r->offset);
+}
+
+bool TableBuilder::WriteOneEntryBlock(const Slice& key, const Slice& value) {
+  Rep* r = rep_.get();
+  if (r->options.compression != CompressionType::kNone) return false;
+
+  // The bytes BlockBuilder would produce for this entry alone: header
+  // (no shared prefix in a fresh block), key, value, then a restart array
+  // holding the single restart point 0, and its count.
+  char prefix[3 * 5];
+  char* end = EncodeVarint32(prefix, 0);
+  end = EncodeVarint32(end, static_cast<uint32_t>(key.size()));
+  end = EncodeVarint32(end, static_cast<uint32_t>(value.size()));
+  const Slice header(prefix, static_cast<size_t>(end - prefix));
+  char suffix[2 * sizeof(uint32_t)];
+  EncodeFixed32(suffix, 0);
+  EncodeFixed32(suffix + sizeof(uint32_t), 1);
+
+  const size_t size = header.size() + key.size() + value.size() + sizeof suffix;
+  // Smaller entries would share their block with the next ones.
+  if (size < r->options.block_size) return false;
+  const size_t n = size + kBlockTrailerSize;
+  const bool direct = n > kTableStagingBytes;
+  // A value too large to stage is appended straight from the caller's
+  // memory, behind the staged bytes that carry its header and key. With
+  // nothing staged yet (the table's first block), that would cost one
+  // append more than the contiguous block does, so that block takes the
+  // BlockBuilder path.
+  if (direct && (r->staging.empty() ||
+                 r->staging.size() + header.size() + key.size() >
+                     kTableStagingBytes)) {
+    return false;
+  }
+
+  r->pending_handle.set_offset(r->offset);
+  r->pending_handle.set_size(size);
+  if (!direct) MakeRoom(n);
+  r->staging.append(header.data(), header.size());
+  r->staging.append(key.data(), key.size());
+  uint32_t crc = crc32c::Value(header.data(), header.size());
+  crc = crc32c::Extend(crc, key.data(), key.size());
+  crc = crc32c::Extend(crc, value.data(), value.size());
+  if (direct) {
+    WriteStaged();
+    if (r->status.ok()) r->status = r->file->Append(value);
+  } else {
+    r->staging.append(value.data(), value.size());
+  }
+  r->staging.append(suffix, sizeof suffix);
+  crc = crc32c::Extend(crc, suffix, sizeof suffix);
+
+  char trailer[kBlockTrailerSize];
+  EncodeTrailer(crc, CompressionType::kNone, trailer);
+  r->staging.append(trailer, kBlockTrailerSize);
+  if (r->status.ok()) r->offset += n;
+  return true;
 }
 
 void TableBuilder::WriteBlock(BlockBuilder* block, BlockHandle* handle) {
@@ -132,10 +207,7 @@ void TableBuilder::WriteRawBlock(const Slice& contents, CompressionType type,
   handle->set_offset(r->offset);
   handle->set_size(contents.size());
   char trailer[kBlockTrailerSize];
-  trailer[0] = static_cast<char>(type);
-  uint32_t crc = crc32c::Value(contents.data(), contents.size());
-  crc = crc32c::Extend(crc, trailer, 1);
-  EncodeFixed32(trailer + 1, crc32c::Mask(crc));
+  EncodeTrailer(crc32c::Value(contents.data(), contents.size()), type, trailer);
 
   const size_t n = contents.size() + kBlockTrailerSize;
   MakeRoom(n);

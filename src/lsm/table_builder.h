@@ -58,6 +58,14 @@ class TableBuilder {
  private:
   struct Rep;
 
+  /// Marks the data block just written as awaiting its index entry.
+  void EndDataBlock();
+  /// Writes key/value as a data block of its own, byte for byte what
+  /// BlockBuilder would make, without copying the value into a block
+  /// buffer. Returns false, having written nothing, when the entry is too
+  /// small to fill a block alone, the table is compressed, or the entry
+  /// would cost an extra file append.
+  bool WriteOneEntryBlock(const Slice& key, const Slice& value);
   void WriteBlock(BlockBuilder* block, class BlockHandle* handle);
   void WriteRawBlock(const Slice& contents, CompressionType type,
                      class BlockHandle* handle);

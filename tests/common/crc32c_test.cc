@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/random.h"
 
@@ -73,6 +76,68 @@ TEST(Crc32cTest, HardwareMatchesPortable) {
           << "offset " << offset << " len " << len << " split " << split;
     }
   }
+}
+
+// The hardware path runs three interleaved streams over 3 x 8 KiB and
+// then 3 x 256 B stretches before its one-stream 8-byte tail. Lengths on
+// both sides of each stretch boundary, at every start offset, must match
+// the portable path, also when an Extend split point falls inside a
+// stream's stride.
+TEST(Crc32cTest, HardwareMatchesPortableAcrossStrides) {
+  if (!internal::HardwareAvailable()) {
+    GTEST_SKIP() << "CPU lacks SSE4.2 crc32; only the portable path runs";
+  }
+  constexpr size_t kMaxOffset = 7;
+  const std::vector<size_t> lengths = {767,   768,   769,   24575,
+                                       24576, 24577, 49151, 49152,
+                                       49153, (1u << 20) + 13};
+  std::string data(lengths.back() + kMaxOffset, '\0');
+  Rng rng(3721);
+  rng.Fill(data.data(), data.size());
+
+  for (size_t offset = 0; offset <= kMaxOffset; ++offset) {
+    for (const size_t len : lengths) {
+      const char* p = data.data() + offset;
+      const uint32_t expected = internal::ExtendPortable(0, p, len);
+      ASSERT_EQ(internal::ExtendHardware(0, p, len), expected)
+          << "offset " << offset << " len " << len;
+
+      // Splits inside the first long stream, inside the middle stream of
+      // the first short stretch after a long one, one byte into the tail,
+      // and at a random point.
+      const std::vector<size_t> splits = {
+          std::min<size_t>(len, 5000), std::min<size_t>(len, 24576 + 300),
+          len - 1, rng.Uniform(len + 1)};
+      for (const size_t split : splits) {
+        const uint32_t head = internal::ExtendHardware(0, p, split);
+        ASSERT_EQ(internal::ExtendHardware(head, p + split, len - split),
+                  expected)
+            << "offset " << offset << " len " << len << " split " << split;
+      }
+    }
+  }
+}
+
+// The merge tables are built on first use of the hardware path; threads
+// racing to that first use must all see complete tables.
+TEST(Crc32cTest, HardwareConcurrentFirstUse) {
+  if (!internal::HardwareAvailable()) {
+    GTEST_SKIP() << "CPU lacks SSE4.2 crc32; only the portable path runs";
+  }
+  std::string data(3 * 8192 + 3 * 256 + 11, '\0');
+  Rng rng(4);
+  rng.Fill(data.data(), data.size());
+  const uint32_t expected =
+      internal::ExtendPortable(0, data.data(), data.size());
+  std::vector<uint32_t> got(4);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < got.size(); ++t) {
+    threads.emplace_back([&, t] {
+      got[t] = internal::ExtendHardware(0, data.data(), data.size());
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (const uint32_t crc : got) EXPECT_EQ(crc, expected);
 }
 
 TEST(Crc32cTest, ValuesDiffer) {

@@ -12,11 +12,14 @@
 #include "common/crc32c.h"
 #include "common/random.h"
 #include "common/units.h"
+#include "common/coding.h"
+#include "lsm/block_builder.h"
 #include "lsm/builder.h"
 #include "lsm/cache.h"
 #include "lsm/comparator.h"
 #include "lsm/dbformat.h"
 #include "lsm/filter_policy.h"
+#include "lsm/format.h"
 #include "lsm/memtable.h"
 #include "lsm/read_stats.h"
 #include "lsm/table_builder.h"
@@ -375,6 +378,213 @@ TEST_F(TableTest, ShortWriteOnStagedAppendFailsBuildTable) {
     std::unique_ptr<Iterator> iter(mem->NewIterator());
     FileMetaData meta;
     meta.number = 7;
+    const Status s = BuildTable("/db", fault_fs_, options, &icmp_,
+                                policy_.get(), iter.get(), &meta);
+    EXPECT_TRUE(s.IsIoError()) << "append " << nth << ": " << s.ToString();
+    EXPECT_EQ(meta.file_size, 0u) << "append " << nth;
+    EXPECT_FALSE(fs_.FileExists(fname)) << "append " << nth;
+    EXPECT_EQ(fault_fs_.faults_injected(), static_cast<int>(nth));
+  }
+  fault_fs_.Disarm();
+  mem->Unref();
+}
+
+// Value length whose entry, alone in a data block, makes a block of exactly
+// `block_bytes` (header varints + internal key + value + one restart point
+// and its count). Keys are "key%06d" user keys: 17-byte internal keys.
+size_t ValueForBlockOf(size_t block_bytes) {
+  constexpr size_t kFixed = 1 + 1 + 17 + 2 * sizeof(uint32_t);
+  for (size_t varint = 1; varint <= 5; ++varint) {
+    const size_t len = block_bytes - kFixed - varint;
+    char buf[5];
+    if (EncodeVarint32(buf, static_cast<uint32_t>(len)) - buf ==
+        static_cast<ptrdiff_t>(varint)) {
+      return len;
+    }
+  }
+  return 0;
+}
+
+// Fixed input for the second golden test: entries around the sizes where
+// the builder's way of writing a block changes. Alone in a block they make
+// blocks of block_size - 1 (joins the next entries), block_size and
+// block_size + 1 (a block of its own), and blocks whose block-plus-trailer
+// bytes are kTableStagingBytes - 1, kTableStagingBytes (staged) and
+// kTableStagingBytes + 1 (too large to stage). Each size appears after a
+// small entry (the large one joins a non-empty block) and after a full
+// block, and the table opens with a block too large to stage.
+std::map<std::string, std::string> BoundaryEntries() {
+  const size_t block_size = Options().block_size;
+  const std::vector<size_t> blocks = {
+      block_size - 1,
+      block_size,
+      block_size + 1,
+      kTableStagingBytes - 1 - kBlockTrailerSize,
+      kTableStagingBytes - kBlockTrailerSize,
+      kTableStagingBytes + 1 - kBlockTrailerSize};
+  std::map<std::string, std::string> entries;
+  Rng rng(2024);
+  int i = 0;
+  auto add = [&](size_t value_len) {
+    char key[16];
+    std::snprintf(key, sizeof key, "key%06d", i++);
+    std::string value(value_len, '\0');
+    rng.Fill(value.data(), value.size());
+    entries[key] = std::move(value);
+  };
+  add(ValueForBlockOf(kTableStagingBytes + 1 - kBlockTrailerSize));
+  for (const size_t block : blocks) {
+    add(100);
+    add(ValueForBlockOf(block));
+    add(ValueForBlockOf(block));
+    add(ValueForBlockOf(block));
+  }
+  add(1 * MiB);
+  add(1 * MiB);
+  add(100);
+  return entries;
+}
+
+// Recorded from the builder that copied every entry into a BlockBuilder:
+// writing an entry as its own block without that copy must not change a
+// byte of the file.
+TEST_F(TableTest, GoldenFileBytesAtBlockBoundaries) {
+  const auto entries = BoundaryEntries();
+  BuildAndOpen(entries);
+  std::string contents;
+  ASSERT_TRUE(vfs::ReadFileToString(fs_, "/t.sst", &contents).ok());
+  EXPECT_EQ(contents.size(), 4766356u);
+  EXPECT_EQ(crc32c::Value(contents.data(), contents.size()), 0xeda4698fu);
+
+  ReadOptions verify;
+  verify.verify_checksums = true;
+  std::unique_ptr<Iterator> iter(table_->NewIterator(verify));
+  auto expected = entries.begin();
+  for (iter->SeekToFirst(); iter->Valid(); iter->Next(), ++expected) {
+    ASSERT_NE(expected, entries.end());
+    ASSERT_EQ(ExtractUserKey(iter->key()).ToString(), expected->first);
+    ASSERT_EQ(iter->value().ToString(), expected->second);
+  }
+  EXPECT_EQ(expected, entries.end());
+  EXPECT_TRUE(iter->status().ok()) << iter->status().ToString();
+}
+
+// A large entry that arrives while a data block already holds entries joins
+// that block, exactly as BlockBuilder lays it out.
+TEST_F(TableTest, LargeEntryAfterSmallOneSharesItsBlock) {
+  const std::string big(64 * KiB, 'b');
+  BuildAndOpen({{"a", "small"}, {"b", big}});
+
+  Options options;
+  BlockBuilder expected_block(&options);
+  expected_block.Add(IKey("a"), "small");
+  expected_block.Add(IKey("b"), big);
+  const std::string expected = expected_block.Finish().ToString();
+
+  std::string contents;
+  ASSERT_TRUE(vfs::ReadFileToString(fs_, "/t.sst", &contents).ok());
+  ASSERT_GT(contents.size(), expected.size() + kBlockTrailerSize);
+  EXPECT_TRUE(contents.compare(0, expected.size(), expected) == 0);
+  EXPECT_EQ(contents[expected.size()],
+            static_cast<char>(CompressionType::kNone));
+  std::string value;
+  ASSERT_TRUE(Get("b", &value));
+  EXPECT_EQ(value, big);
+}
+
+// Compressed tables keep the BlockBuilder path for entries of any size,
+// whether LZ shrinks their blocks or they are stored raw.
+TEST_F(TableTest, CompressedTableWithLargeValuesRoundTrips) {
+  std::map<std::string, std::string> entries;
+  Rng rng(5);
+  for (int i = 0; i < 40; ++i) {
+    char key[16];
+    std::snprintf(key, sizeof key, "key%06d", i);
+    const size_t len = i % 3 == 0 ? 1 * MiB : (i % 3 == 1 ? 4 * KiB : 300);
+    std::string value(len, static_cast<char>('a' + i % 26));
+    if (i % 2 == 1) rng.Fill(value.data(), value.size());
+    entries[key] = std::move(value);
+  }
+  Options options;
+  options.compression = CompressionType::kLzLite;
+  BuildAndOpen(entries, options);
+
+  ReadOptions verify;
+  verify.verify_checksums = true;
+  std::unique_ptr<Iterator> iter(table_->NewIterator(verify));
+  auto expected = entries.begin();
+  for (iter->SeekToFirst(); iter->Valid(); iter->Next(), ++expected) {
+    ASSERT_NE(expected, entries.end());
+    ASSERT_EQ(ExtractUserKey(iter->key()).ToString(), expected->first);
+    ASSERT_EQ(iter->value().ToString(), expected->second);
+  }
+  EXPECT_EQ(expected, entries.end());
+  EXPECT_TRUE(iter->status().ok()) << iter->status().ToString();
+}
+
+// A table of 1 MiB values costs two appends per value: the first block is
+// appended whole, every later one as the staged chunk (previous trailer
+// plus this block's header and key) and then the value, and Finish()
+// appends the last chunk.
+TEST_F(TableTest, OneMiBValuesCostTwoAppendsEach) {
+  std::map<std::string, std::string> entries;
+  for (int i = 0; i < 8; ++i) {
+    char key[16];
+    std::snprintf(key, sizeof key, "key%06d", i);
+    entries[key] = std::string(1 * MiB, static_cast<char>('a' + i));
+  }
+  BuildAndOpen(entries);
+  EXPECT_EQ(appends_, 2 * entries.size());
+
+  std::string value;
+  ASSERT_TRUE(Get("key000005", &value));
+  EXPECT_EQ(value, std::string(1 * MiB, 'f'));
+}
+
+// Values too large to stage are appended from the memtable's own memory.
+// A short write on any append of such a flush, the direct value appends
+// included, must fail it and leave no table file behind.
+TEST_F(TableTest, ShortWriteOnDirectValueAppendFailsBuildTable) {
+  MemTable* mem = new MemTable(icmp_);
+  mem->Ref();
+  Rng rng(13);
+  for (int i = 0; i < 3; ++i) {
+    std::string value(1 * MiB, '\0');
+    rng.Fill(value.data(), value.size());
+    mem->Add(static_cast<SequenceNumber>(i + 1), ValueType::kValue,
+             "key" + std::to_string(10000 + i), value);
+  }
+  const Options options;
+  const std::string fname = TableFileName("/db", 9);
+
+  // Appends: the first block whole, then chunk + value for each of the two
+  // others (appends 3 and 5 are the direct value appends), then Finish().
+  constexpr uint64_t kAppends = 6;
+  {
+    std::unique_ptr<Iterator> iter(mem->NewIterator());
+    FileMetaData meta;
+    meta.number = 9;
+    const uint64_t ops_before = fault_fs_.write_ops();
+    ASSERT_TRUE(BuildTable("/db", fault_fs_, options, &icmp_, policy_.get(),
+                           iter.get(), &meta)
+                    .ok());
+    // Create and sync are write-class operations too.
+    ASSERT_EQ(fault_fs_.write_ops() - ops_before - 2, kAppends);
+    ASSERT_TRUE(fs_.RemoveFile(fname).ok());
+  }
+
+  for (uint64_t nth = 1; nth <= kAppends; ++nth) {
+    vfs::FaultPoint point;
+    point.kind = vfs::FaultKind::kShortWrite;
+    point.file_classes = vfs::kTableFile;
+    point.ops = vfs::kAppendOp;
+    point.countdown = static_cast<int>(nth);
+    point.sticky = false;
+    fault_fs_.Arm(point);
+
+    std::unique_ptr<Iterator> iter(mem->NewIterator());
+    FileMetaData meta;
+    meta.number = 9;
     const Status s = BuildTable("/db", fault_fs_, options, &icmp_,
                                 policy_.get(), iter.get(), &meta);
     EXPECT_TRUE(s.IsIoError()) << "append " << nth << ": " << s.ToString();
