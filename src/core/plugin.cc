@@ -133,6 +133,13 @@ class LsmioWriterEngine final : public a2::Engine {
     if (closed_) return Status::OK();
     closed_ = true;
     LSMIO_RETURN_IF_ERROR(PerformPuts());
+    // One Append per variable, so the flushed tables carry no stale index
+    // versions; Append (not Put) lets a store reopened for writing extend
+    // the index it already has.
+    for (const auto& [name, entries] : pending_index_) {
+      LSMIO_RETURN_IF_ERROR(manager_->Append(IndexKey(name), entries));
+    }
+    pending_index_.clear();
     // The paper: "LSMIO calls the write-barrier implicitly at the end of
     // the checkpoint file write."
     return manager_->WriteBarrier(BarrierMode::kSync);
@@ -158,15 +165,17 @@ class LsmioWriterEngine final : public a2::Engine {
     const uint64_t bytes = count * element_size;
     LSMIO_RETURN_IF_ERROR(manager_->Put(
         DataKey(name, offset), Slice(static_cast<const char*>(data), bytes)));
-    std::string entry;
-    PutFixed64(&entry, offset);
-    PutFixed64(&entry, count);
-    PutFixed32(&entry, element_size);
-    return manager_->Append(IndexKey(name), entry);
+    std::string& entries = pending_index_[name];
+    PutFixed64(&entries, offset);
+    PutFixed64(&entries, count);
+    PutFixed32(&entries, element_size);
+    return Status::OK();
   }
 
   std::unique_ptr<Manager> manager_;
   std::vector<Staged> staged_;
+  /// Block index entries per variable, written once at Close().
+  std::map<std::string, std::string> pending_index_;
   a2::EngineStats stats_;
   bool closed_ = false;
 };

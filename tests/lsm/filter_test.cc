@@ -119,5 +119,24 @@ TEST(FilterBlockTest, MalformedContentsFailOpen) {
   EXPECT_TRUE(reader.KeyMayMatch(0, "anything"));
 }
 
+// The base_lg byte comes from the file; a value of 64 or more must not be
+// used as a shift count (undefined, and masked to a wrong index on x86), so
+// the reader fails open instead of reporting a present key absent.
+TEST(FilterBlockTest, OutOfRangeBaseLgFailsOpen) {
+  auto policy = std::unique_ptr<const FilterPolicy>(NewBloomFilterPolicy(10));
+  FilterBlockBuilder builder(policy.get());
+  builder.StartBlock(0);
+  builder.AddKey("first-key");
+  builder.StartBlock(5000);
+  builder.AddKey("second-key");
+  std::string block = builder.Finish().ToString();
+  for (const int base_lg : {64, 76, 255}) {
+    block.back() = static_cast<char>(base_lg);
+    FilterBlockReader reader(policy.get(), block);
+    EXPECT_TRUE(reader.KeyMayMatch(0, "first-key")) << base_lg;
+    EXPECT_TRUE(reader.KeyMayMatch(5000, "second-key")) << base_lg;
+  }
+}
+
 }  // namespace
 }  // namespace lsmio::lsm
