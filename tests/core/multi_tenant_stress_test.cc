@@ -22,6 +22,7 @@
 #include "common/units.h"
 #include "core/manager.h"
 #include "core/memory_arbiter.h"
+#include "lsm/arena.h"
 #include "vfs/mem_vfs.h"
 
 namespace lsmio {
@@ -113,6 +114,15 @@ uint64_t RunSkewedWrites(Fleet& fleet, int ops, uint64_t seed) {
     if (budget != 0 && op % 256 == 0) {
       EXPECT_LE(fleet.arbiter->TotalUsage(), 2 * budget)
           << "aggregate memtable usage escaped the budget at op " << op;
+      // Memtable arena regions stay tied to that usage too: a live
+      // arena's regions map at most twice its charge, and the free list
+      // keeps at most kPooledRegions on top.
+      constexpr uint64_t kRegion = lsm::Arena::kRegionSize;
+      EXPECT_LE(lsm::Arena::RegionsInUseForTesting() * kRegion, 2 * (2 * budget))
+          << "arena regions in use escaped the budget at op " << op;
+      EXPECT_LE(lsm::Arena::RegionsMappedForTesting() * kRegion,
+                2 * (2 * budget) + lsm::Arena::kPooledRegions * kRegion)
+          << "arena regions escaped the budget at op " << op;
     }
   }
   return hot_micros;
