@@ -3,9 +3,15 @@
 // figure benchmarks (EXPERIMENTS.md documents the mapping).
 #include <benchmark/benchmark.h>
 #include <sys/resource.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <memory>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "common/crc32c.h"
 #include "common/random.h"
@@ -17,8 +23,10 @@
 #include "lsm/iterator.h"
 #include "lsm/memtable.h"
 #include "lsm/skiplist.h"
+#include "lsm/table.h"
 #include "lsm/table_builder.h"
 #include "vfs/mem_vfs.h"
+#include "vfs/posix_vfs.h"
 
 namespace {
 
@@ -239,6 +247,83 @@ void BM_DbGet(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DbGet);
+
+// Uncached MultiGet of 4 adjacent values per call from a table on the local
+// file system, whose pages are in the page cache after the build: the
+// paper's restore path (no block cache). Each value is copied into a fresh
+// string, as DB::MultiGet does for its caller. `minflt_per_iter` counts the
+// minor page faults per call after one warm-up call: those of the value
+// strings, plus those of the read buffers until these come from resident
+// memory.
+void BM_TableMultiGet(benchmark::State& state) {
+  const size_t value_size = static_cast<size_t>(state.range(0));
+  constexpr int kValues = 16;
+  constexpr size_t kBatch = 4;
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("lsmio_bm_multiget_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "t.sst").string();
+  vfs::Vfs& fs = vfs::PosixVfs();
+  InternalKeyComparator icmp(BytewiseComparator());
+  const std::unique_ptr<const FilterPolicy> policy(NewBloomFilterPolicy(10));
+  const Options options;
+  std::vector<std::string> seek_keys;
+  std::unique_ptr<vfs::RandomAccessFile> file;
+  std::unique_ptr<Table> table;
+  Status s = [&] {
+    std::string value(value_size, '\0');
+    Rng rng(5);
+    rng.Fill(value.data(), value.size());
+    std::unique_ptr<vfs::WritableFile> out;
+    LSMIO_RETURN_IF_ERROR(fs.NewWritableFile(path, {}, &out));
+    TableBuilder builder(options, &icmp, policy.get(), out.get());
+    for (int i = 0; i < kValues; ++i) {
+      char key[16];
+      std::snprintf(key, sizeof key, "key%08d", i);
+      std::string ikey;
+      AppendInternalKey(&ikey, key, 1, ValueType::kValue);
+      builder.Add(ikey, value);
+      seek_keys.emplace_back();
+      AppendInternalKey(&seek_keys.back(), key, kMaxSequenceNumber,
+                        kValueTypeForSeek);
+    }
+    LSMIO_RETURN_IF_ERROR(builder.Finish());
+    LSMIO_RETURN_IF_ERROR(out->Close());
+    LSMIO_RETURN_IF_ERROR(fs.NewRandomAccessFile(path, {}, &file));
+    return Table::Open(options, &icmp, policy.get(), nullptr, 1, file.get(),
+                       file->Size(), &table);
+  }();
+  const std::vector<Slice> keys(seek_keys.begin(), seek_keys.end());
+  size_t first = 0;
+  const auto read_batch = [&] {
+    std::vector<std::string> values(kBatch);
+    s = table->MultiGet({}, std::span(keys).subspan(first, kBatch),
+                        [&](size_t i, const Slice&, const Slice& v) {
+                          values[i].assign(v.data(), v.size());
+                        });
+    benchmark::DoNotOptimize(values.data());
+    first = (first + kBatch) % kValues;
+  };
+  if (s.ok()) read_batch();  // warm-up
+  uint64_t faults = 0;
+  if (s.ok()) {
+    const uint64_t faults_before = MinorFaults();
+    for (auto _ : state) {
+      read_batch();
+      if (!s.ok()) break;
+    }
+    faults = MinorFaults() - faults_before;
+  }
+  if (!s.ok()) state.SkipWithError(s.ToString().c_str());
+  table.reset();
+  file.reset();
+  std::filesystem::remove_all(dir);
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(kBatch * value_size));
+  state.counters["minflt_per_iter"] =
+      static_cast<double>(faults) / static_cast<double>(std::max<int64_t>(1, state.iterations()));
+}
+BENCHMARK(BM_TableMultiGet)->Arg(65536)->Arg(1 << 20);
 
 }  // namespace
 

@@ -45,7 +45,9 @@ void Unpoison([[maybe_unused]] char* p, [[maybe_unused]] size_t bytes) {
 /// the most filled ones; a region that does not make the cut is unmapped.
 ///
 /// Take() hands an arena's n-th region out of the regions last used as an
-/// n-th region, the most filled first, the most recently pooled on a tie.
+/// n-th region, the most filled first, the most recently pooled on a tie;
+/// a borrower (kAnyOrdinal) gets the most filled region and leaves its
+/// ordinal as it was.
 /// Stores refill their memtables the same way every checkpoint, so an
 /// arena's part-used last region goes to another arena's last region, not
 /// to its first, where filling it would fault in pages while a fully
@@ -56,12 +58,15 @@ class RegionPool {
   // every region it may keep.
   RegionPool() { free_.reserve(Arena::kPooledRegions); }
 
+  static constexpr size_t kAnyOrdinal = SIZE_MAX;
+
   Arena::Region Take(size_t ordinal) EXCLUDES(mu_) {
     {
       MutexLock lock(&mu_);
       if (!free_.empty()) {
         const auto score = [ordinal](const Arena::Region& r) {
-          return std::pair(r.ordinal == ordinal, r.touched);
+          return std::pair(ordinal != kAnyOrdinal && r.ordinal == ordinal,
+                           r.touched);
         };
         auto best = free_.rbegin();
         for (auto it = free_.rbegin(); it != free_.rend(); ++it) {
@@ -69,7 +74,7 @@ class RegionPool {
         }
         Arena::Region region = *best;
         free_.erase(std::next(best).base());  // keeps the pooling order
-        region.ordinal = ordinal;
+        if (ordinal != kAnyOrdinal) region.ordinal = ordinal;
         return region;
       }
     }
@@ -150,6 +155,16 @@ void Arena::NoteRegionUse() {
   Region& current = regions_.back();
   current.touched = std::max(current.touched,
                              static_cast<size_t>(region_ptr_ - current.base));
+}
+
+Arena::Region Arena::BorrowRegion() {
+  Region region = Pool().Take(RegionPool::kAnyOrdinal);
+  Unpoison(region.base, kRegionSize);
+  return region;
+}
+
+void Arena::ReturnRegions(const std::vector<Region>& regions) {
+  Pool().Return(regions);
 }
 
 size_t Arena::RegionsMappedForTesting() { return Pool().mapped(); }

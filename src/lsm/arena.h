@@ -11,7 +11,8 @@
 // so the next memtable, in this store or in one opened later, writes into
 // memory that is already faulted in instead of paying a first-touch fault
 // per 4 KiB. The list keeps at most kPooledRegions regions and unmaps the
-// rest. See DESIGN.md "Memtable memory".
+// rest. Uncached block reads borrow whole regions from the same list for
+// the length of one call. See DESIGN.md "Memtable memory".
 #pragma once
 
 #include <atomic>
@@ -33,6 +34,15 @@ class Arena {
   /// returned to a full list is unmapped, or displaces a less filled one.
   static constexpr size_t kPooledRegions = 32;
 
+  /// A pooled region, the most bytes any arena or borrower has written to it
+  /// (how much of it is already faulted in), and its position among the
+  /// regions of the arena that used it last.
+  struct Region {
+    char* base;
+    size_t touched;
+    size_t ordinal;
+  };
+
   Arena() = default;
   ~Arena();
   Arena(const Arena&) = delete;
@@ -52,6 +62,13 @@ class Arena {
     return memory_usage_.load(std::memory_order_relaxed);
   }
 
+  /// Whole regions as short-lived scratch memory outside any arena (block
+  /// reads): BorrowRegion takes the most filled pooled region, or maps one
+  /// when the pool is empty, and hands it out whole. ReturnRegions pools
+  /// regions again; a borrower raises `touched` to the bytes it wrote.
+  static Region BorrowRegion();
+  static void ReturnRegions(const std::vector<Region>& regions);
+
   /// Regions the process has mapped now (pooled plus in use); for tests.
   static size_t RegionsMappedForTesting();
 
@@ -62,15 +79,6 @@ class Arena {
   [[nodiscard]] size_t RegionBytesForTesting() const noexcept {
     return regions_.size() * kRegionSize;
   }
-
-  /// A pooled region, the most bytes any arena has bump-allocated from it
-  /// (how much of it is already faulted in), and its position among the
-  /// regions of the arena that used it last.
-  struct Region {
-    char* base;
-    size_t touched;
-    size_t ordinal;
-  };
 
  private:
   static constexpr size_t kBlockSize = 4096;

@@ -1,5 +1,7 @@
 #include "lsm/format.h"
 
+#include <utility>
+
 #include "common/coding.h"
 #include "common/crc32c.h"
 #include "lsm/compression.h"
@@ -103,14 +105,27 @@ Status ReadBlockContents(vfs::RandomAccessFile* file, const ReadOptions& options
                          bool always_verify, const BlockHandle& handle,
                          std::string* contents) {
   const size_t n = static_cast<size_t>(handle.size());
-  std::string scratch;
   Slice raw;
   LSMIO_RETURN_IF_ERROR(
-      file->Read(handle.offset(), n + kBlockTrailerSize, &raw, &scratch));
+      file->Read(handle.offset(), n + kBlockTrailerSize, &raw, contents));
   if (raw.size() != n + kBlockTrailerSize) {
     return Status::Corruption("truncated block read");
   }
-  return DecodeBlockContents(raw, options, always_verify, contents);
+  if (raw.data() != contents->data()) {
+    // The file served its own memory (an mmap'd file): copy out of it.
+    return DecodeBlockContents(raw, options, always_verify, contents);
+  }
+  // Read in place: an uncompressed block only loses its trailer.
+  std::string decompressed;
+  Slice view;
+  LSMIO_RETURN_IF_ERROR(
+      DecodeBlockView(raw, options, always_verify, &decompressed, &view));
+  if (view.data() == contents->data()) {
+    contents->resize(n);
+  } else {
+    *contents = std::move(decompressed);
+  }
+  return Status::OK();
 }
 
 }  // namespace lsmio::lsm

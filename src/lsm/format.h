@@ -61,7 +61,9 @@ inline constexpr size_t kBlockTrailerSize = 5;
 
 /// Reads the block identified by `handle` from file, verifying the CRC when
 /// `verify_checksums` and decompressing as needed. On success *contents
-/// holds the uncompressed block bytes.
+/// holds the uncompressed block bytes; the file is read into *contents
+/// itself, so an uncompressed block is not copied. On failure *contents is
+/// unspecified.
 Status ReadBlockContents(vfs::RandomAccessFile* file, const ReadOptions& options,
                          bool always_verify, const BlockHandle& handle,
                          std::string* contents);

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <vector>
 
 #include "common/coding.h"
+#include "lsm/arena.h"
 #include "lsm/block.h"
 #include "lsm/comparator.h"
 #include "lsm/dbformat.h"
@@ -28,6 +30,57 @@ void DeleteCachedBlock(const Slice&, void* value) {
 void DeleteCachedFilterData(const Slice&, void* value) {
   delete static_cast<std::string*>(value);
 }
+
+/// Memory for the coalesced runs of one uncached MultiGet, bump-allocated
+/// from arena regions borrowed for the call. A region that a memtable or an
+/// earlier read has used is already resident, so a run's read neither maps,
+/// zero-fills nor faults in its buffer, and nothing is unmapped when the
+/// call returns. A run longer than a region gets a buffer of its own.
+class RunBuffers {
+ public:
+  RunBuffers() = default;
+  RunBuffers(const RunBuffers&) = delete;
+  RunBuffers& operator=(const RunBuffers&) = delete;
+  ~RunBuffers() {
+    if (regions_.empty()) return;
+    NoteUse();
+    Arena::ReturnRegions(regions_);
+  }
+
+  /// Uninitialized memory for `bytes`, valid until this object dies.
+  char* Allocate(size_t bytes) {
+    const size_t padded = (bytes + alignof(void*) - 1) & ~(alignof(void*) - 1);
+    if (padded > Arena::kRegionSize) {
+      large_.push_back(std::make_unique_for_overwrite<char[]>(bytes));
+      return large_.back().get();
+    }
+    if (padded > remaining_) {
+      if (!regions_.empty()) NoteUse();
+      // Reserve first so the push cannot throw and leak a borrowed region.
+      regions_.reserve(regions_.size() + 1);
+      regions_.push_back(Arena::BorrowRegion());
+      ptr_ = regions_.back().base;
+      remaining_ = Arena::kRegionSize;
+    }
+    char* result = ptr_;
+    ptr_ += padded;
+    remaining_ -= padded;
+    return result;
+  }
+
+ private:
+  // Records how far the current region has been written.
+  void NoteUse() {
+    Arena::Region& current = regions_.back();
+    current.touched =
+        std::max(current.touched, static_cast<size_t>(ptr_ - current.base));
+  }
+
+  std::vector<Arena::Region> regions_;  // the last one is being filled
+  char* ptr_ = nullptr;
+  size_t remaining_ = 0;
+  std::vector<std::unique_ptr<char[]>> large_;
+};
 
 /// A resolved data block plus how to let go of it.
 struct BlockGuard {
@@ -372,8 +425,10 @@ Status Table::MultiGet(
   // Pass 2: resolve blocks — cache lookups first, then coalesce runs of
   // adjacent missing blocks into single VFS reads.
   const bool use_cache = r->use_cache();
-  // Buffers backing blocks that borrow their bytes (the non-cached path);
-  // they must stay alive until the guards release those blocks.
+  // Buffers backing blocks that borrow their bytes (the non-cached path):
+  // the runs' read buffers and the decompressed blocks. They must stay
+  // alive until the guards release those blocks.
+  RunBuffers run_buffers;
   std::vector<std::unique_ptr<std::string>> backing;
   std::vector<BlockGuard> guards(work.size());
   struct GuardRelease {
@@ -423,17 +478,17 @@ Status Table::MultiGet(
       ++k;
       end = work[k].handle.offset() + work[k].handle.size() + kBlockTrailerSize;
     }
-    // Uncached blocks serve straight out of the coalesced read buffer, so
-    // each run gets its own buffer, kept alive in `backing`.
-    std::string* read_buf = &scratch;
-    if (!cache_fill) {
-      backing.push_back(std::make_unique<std::string>());
-      read_buf = backing.back().get();
-    }
+    const auto run_bytes = static_cast<size_t>(end - start);
     Slice raw;
-    LSMIO_RETURN_IF_ERROR(
-        r->file->Read(start, static_cast<size_t>(end - start), &raw, read_buf));
-    if (raw.size() != end - start) {
+    if (cache_fill) {
+      // The cache takes a copy of each block, so one buffer serves all runs.
+      LSMIO_RETURN_IF_ERROR(r->file->Read(start, run_bytes, &raw, &scratch));
+    } else {
+      // Uncached blocks serve straight out of the run's buffer.
+      LSMIO_RETURN_IF_ERROR(r->file->ReadInto(start, run_bytes, &raw,
+                                              run_buffers.Allocate(run_bytes)));
+    }
+    if (raw.size() != run_bytes) {
       return Status::Corruption("truncated coalesced block read");
     }
     if (k > j && r->counters) {

@@ -115,12 +115,15 @@ class PosixRandomAccessFile final : public RandomAccessFile {
 
   Status Read(uint64_t offset, size_t n, Slice* result,
               std::string* scratch) const override {
-    if (offset > size_) {
-      *result = Slice();
-      return Status::OK();
-    }
-    const size_t avail = static_cast<size_t>(size_ - offset);
-    const size_t want = n < avail ? n : avail;
+    scratch->resize(map_ != nullptr ? 0 : Available(offset, n));
+    LSMIO_RETURN_IF_ERROR(ReadInto(offset, n, result, scratch->data()));
+    if (result->data() == scratch->data()) scratch->resize(result->size());
+    return Status::OK();
+  }
+
+  Status ReadInto(uint64_t offset, size_t n, Slice* result,
+                  char* buf) const override {
+    const size_t want = Available(offset, n);
     if (map_ != nullptr) {
       *result = Slice(static_cast<const char*>(map_) + offset, want);
       return Status::OK();
@@ -129,16 +132,15 @@ class PosixRandomAccessFile final : public RandomAccessFile {
       MutexLock lock(&prefetch_mu_);
       if (offset >= prefetch_offset_ &&
           offset + want <= prefetch_offset_ + prefetch_.size()) {
-        scratch->assign(prefetch_.data() + (offset - prefetch_offset_), want);
-        *result = Slice(*scratch);
+        std::memcpy(buf, prefetch_.data() + (offset - prefetch_offset_), want);
+        *result = Slice(buf, want);
         GetPosixVfsStats().prefetch_hits.fetch_add(1, std::memory_order_relaxed);
         return Status::OK();
       }
     }
-    scratch->resize(want);
     size_t done = 0;
     while (done < want) {
-      const ssize_t r = ::pread(fd_, scratch->data() + done, want - done,
+      const ssize_t r = ::pread(fd_, buf + done, want - done,
                                 static_cast<off_t>(offset + done));
       if (r < 0) {
         if (errno == EINTR) continue;
@@ -147,8 +149,7 @@ class PosixRandomAccessFile final : public RandomAccessFile {
       if (r == 0) break;
       done += static_cast<size_t>(r);
     }
-    scratch->resize(done);
-    *result = Slice(*scratch);
+    *result = Slice(buf, done);
     return Status::OK();
   }
 
@@ -200,6 +201,12 @@ class PosixRandomAccessFile final : public RandomAccessFile {
   uint64_t Size() const override { return size_; }
 
  private:
+  // Bytes of [offset, offset + n) that lie inside the file.
+  size_t Available(uint64_t offset, size_t n) const {
+    if (offset >= size_) return 0;
+    return static_cast<size_t>(std::min<uint64_t>(n, size_ - offset));
+  }
+
   int fd_;         // unguarded: immutable after open
   uint64_t size_;  // unguarded: immutable after open
   void* map_;      // unguarded: immutable after open

@@ -65,6 +65,15 @@ class TracedRandom final : public RandomAccessFile {
     return s;
   }
 
+  Status ReadInto(uint64_t offset, size_t n, Slice* result,
+                  char* buf) const override {
+    Status s = inner_->ReadInto(offset, n, result, buf);
+    if (s.ok()) {
+      ctx_.Record(rank_, IoOp{IoOpKind::kRead, file_id_, offset, result->size()});
+    }
+    return s;
+  }
+
   void Hint(uint64_t offset, size_t length) const override {
     ctx_.RecordHint(length);
     inner_->Hint(offset, length);

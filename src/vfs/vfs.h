@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -57,6 +58,19 @@ class RandomAccessFile {
   /// mmap'd memory) and is valid until the next call / file close.
   virtual Status Read(uint64_t offset, size_t n, Slice* result,
                       std::string* scratch) const = 0;
+  /// Read into caller-owned memory: `buf` holds n bytes and need not be
+  /// initialized. *result points into `buf` (or into mmap'd memory) and is
+  /// valid while both are. The default reads through Read and copies.
+  virtual Status ReadInto(uint64_t offset, size_t n, Slice* result,
+                          char* buf) const {
+    std::string scratch;
+    LSMIO_RETURN_IF_ERROR(Read(offset, n, result, &scratch));
+    if (!scratch.empty()) {
+      std::memcpy(buf, result->data(), result->size());
+      *result = Slice(buf, result->size());
+    }
+    return Status::OK();
+  }
   /// Advisory: the caller expects to read [offset, offset+length) soon,
   /// typically sequentially. Backends may prefetch; correctness never
   /// depends on it. Default (and MemVfs): no-op — memory is already

@@ -6,12 +6,14 @@
 // store latching read-only, and every acked write must read back intact.
 //
 // Scale defaults stay CI-fast (24 tenants); the nightly workflow raises
-// them with LSMIO_TENANTS=200 / LSMIO_STRESS_OPS. LSMIO_STRESS_THROUGHPUT=1
+// them with LSMIO_TENANTS=200 / LSMIO_STRESS_OPS (by default the op count
+// grows with the fleet: see StressOps). LSMIO_STRESS_THROUGHPUT=1
 // additionally runs an uncapped baseline and asserts the hot tenants kept
 // at least 80% of their uncapped throughput (wall-clock dependent, so it is
 // opt-in rather than part of the default deterministic run).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <memory>
@@ -40,6 +42,19 @@ int EnvInt(const char* name, int fallback) {
 // Fixed per-store sizing the arbiter replaces: this is what each store
 // would reserve as its private memtable budget without arbitration.
 constexpr uint64_t kPerStoreBuffer = 1 * MiB;
+constexpr uint64_t kValueBytes = 4 * KiB;
+
+// The shared write budget of a budgeted fleet: 25% of the fixed sizing.
+uint64_t WriteBudget(int tenants) {
+  return std::max<uint64_t>(1 * MiB, tenants * kPerStoreBuffer / 4);
+}
+
+// LSMIO_STRESS_OPS, by default 6000 puts or enough to write twice the
+// write budget, so a large fleet still drives the arbiter to pick victims.
+int StressOps(int tenants) {
+  const auto twice_budget = static_cast<int>(2 * WriteBudget(tenants) / kValueBytes);
+  return EnvInt("LSMIO_STRESS_OPS", std::max(6000, twice_budget));
+}
 
 struct Fleet {
   vfs::MemVfs fs;
@@ -52,8 +67,7 @@ struct Fleet {
   void Open(int tenants, bool budgeted) {
     if (budgeted) {
       MemoryArbiterOptions arb;
-      arb.write_budget_bytes =
-          std::max<uint64_t>(1 * MiB, tenants * kPerStoreBuffer / 4);
+      arb.write_budget_bytes = WriteBudget(tenants);
       arb.cache_budget_bytes = 8 * MiB;
       arb.min_victim_bytes = 32 * KiB;
       arbiter = std::make_unique<MemoryArbiter>(arb);
@@ -89,7 +103,7 @@ uint64_t RunSkewedWrites(Fleet& fleet, int ops, uint64_t seed) {
       fleet.arbiter != nullptr ? fleet.arbiter->Budget() : 0;
   Rng rng(seed);
   uint64_t hot_micros = 0;
-  const std::string value(4096, 'v');
+  const std::string value(kValueBytes, 'v');
   for (int op = 0; op < ops; ++op) {
     // 90% of traffic lands on the hot tenants.
     const bool is_hot = rng.Next() % 10 != 0;
@@ -130,7 +144,7 @@ uint64_t RunSkewedWrites(Fleet& fleet, int ops, uint64_t seed) {
 
 TEST(MultiTenantStressTest, BudgetedFleetSurvivesSkewedTraffic) {
   const int tenants = EnvInt("LSMIO_TENANTS", 24);
-  const int ops = EnvInt("LSMIO_STRESS_OPS", 6000);
+  const int ops = StressOps(tenants);
 
   Fleet fleet;
   fleet.Open(tenants, /*budgeted=*/true);
@@ -171,7 +185,7 @@ TEST(MultiTenantStressTest, HotTenantsKeepThroughputUnderBudget) {
     GTEST_SKIP() << "wall-clock comparison; set LSMIO_STRESS_THROUGHPUT=1";
   }
   const int tenants = EnvInt("LSMIO_TENANTS", 24);
-  const int ops = EnvInt("LSMIO_STRESS_OPS", 6000);
+  const int ops = StressOps(tenants);
 
   Fleet uncapped;
   uncapped.Open(tenants, /*budgeted=*/false);

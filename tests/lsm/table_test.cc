@@ -4,8 +4,10 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <memory>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -13,6 +15,7 @@
 #include "common/random.h"
 #include "common/units.h"
 #include "common/coding.h"
+#include "lsm/arena.h"
 #include "lsm/block_builder.h"
 #include "lsm/builder.h"
 #include "lsm/cache.h"
@@ -789,6 +792,162 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(std::get<0>(info.param) ? "Mmap" : "Pread") +
              (std::get<1>(info.param) ? "CacheHeld" : "TableOwned");
     });
+
+
+// Uncached MultiGet reads each coalesced run into memory borrowed from the
+// arena region pool for the call. These tables live on the real file
+// system, so the runs go through pread into the borrowed regions.
+class RunBufferTest : public ::testing::Test {
+ protected:
+  RunBufferTest() : icmp_(BytewiseComparator()), policy_(NewBloomFilterPolicy(10)) {}
+
+  void SetUp() override {
+    dir_ = std::filesystem::temp_directory_path() /
+           ("lsmio_run_buffer_" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir_);
+    ASSERT_TRUE(vfs::PosixVfs().CreateDir(dir_.string()).ok());
+  }
+
+  void TearDown() override {
+    table_.reset();
+    raf_.reset();
+    std::filesystem::remove_all(dir_);
+  }
+
+  static std::string Key(int i) {
+    char key[16];
+    std::snprintf(key, sizeof key, "key%06d", i);
+    return key;
+  }
+
+  // Builds `count` values of `value_bytes` pseudo-random bytes each and
+  // opens the table without a block cache (the uncached read path).
+  void BuildAndOpen(int count, size_t value_bytes) {
+    vfs::Vfs& fs = vfs::PosixVfs();
+    path_ = (dir_ / "t.sst").string();
+    Rng rng(7);
+    std::unique_ptr<vfs::WritableFile> file;
+    ASSERT_TRUE(fs.NewWritableFile(path_, {}, &file).ok());
+    TableBuilder builder(options_, &icmp_, policy_.get(), file.get());
+    for (int i = 0; i < count; ++i) {
+      std::string value(value_bytes, '\0');
+      for (char& c : value) c = static_cast<char>(rng.Next());
+      std::string ikey;
+      AppendInternalKey(&ikey, Key(i), 1, ValueType::kValue);
+      builder.Add(ikey, value);
+      values_.push_back(std::move(value));
+    }
+    ASSERT_TRUE(builder.Finish().ok());
+    ASSERT_TRUE(file->Close().ok());
+    Reopen();
+  }
+
+  void Reopen() {
+    table_.reset();
+    uint64_t size = 0;
+    ASSERT_TRUE(vfs::PosixVfs().GetFileSize(path_, &size).ok());
+    ASSERT_TRUE(vfs::PosixVfs().NewRandomAccessFile(path_, {}, &raf_).ok());
+    ASSERT_TRUE(Table::Open(options_, &icmp_, policy_.get(), nullptr, 1,
+                            raf_.get(), size, &table_)
+                    .ok());
+  }
+
+  // MultiGets keys [first, first + count) and checks every returned byte;
+  // `on_value` runs inside the result callback.
+  Status MultiGetAndCheck(int first, int count,
+                          const std::function<void()>& on_value = [] {}) {
+    std::vector<std::string> storage;
+    for (int i = first; i < first + count; ++i) {
+      storage.emplace_back();
+      AppendInternalKey(&storage.back(), Key(i), kMaxSequenceNumber,
+                        kValueTypeForSeek);
+    }
+    const std::vector<Slice> ikeys(storage.begin(), storage.end());
+    int found = 0;
+    const Status s = table_->MultiGet(
+        {}, ikeys, [&](size_t i, const Slice&, const Slice& v) {
+          EXPECT_TRUE(v == Slice(values_[first + i])) << Key(first + static_cast<int>(i));
+          ++found;
+          on_value();
+        });
+    if (s.ok()) EXPECT_EQ(found, count);
+    return s;
+  }
+
+  std::filesystem::path dir_;
+  std::string path_;
+  Options options_;
+  InternalKeyComparator icmp_;
+  std::unique_ptr<const FilterPolicy> policy_;
+  std::vector<std::string> values_;
+  std::unique_ptr<vfs::RandomAccessFile> raf_;
+  std::unique_ptr<Table> table_;
+};
+
+TEST_F(RunBufferTest, OneMiBValuesSpanningSeveralRegionsReadBack) {
+  // Ten one-entry 1 MiB blocks are ten runs; an 8 MiB region holds seven.
+  BuildAndOpen(10, 1 * MiB);
+  const size_t baseline = Arena::RegionsInUseForTesting();
+  size_t most_in_use = 0;
+  ASSERT_TRUE(MultiGetAndCheck(0, 10, [&] {
+                most_in_use = std::max(most_in_use, Arena::RegionsInUseForTesting());
+              }).ok());
+  EXPECT_GE(most_in_use, baseline + 2);
+  EXPECT_EQ(Arena::RegionsInUseForTesting(), baseline);
+  // Again, now from regions the first call left resident in the pool.
+  ASSERT_TRUE(MultiGetAndCheck(0, 10).ok());
+  EXPECT_EQ(Arena::RegionsInUseForTesting(), baseline);
+}
+
+TEST_F(RunBufferTest, RunLongerThanARegionReadsBack) {
+  // A 9 MiB one-entry block does not fit an 8 MiB region, so each run
+  // gets a buffer of its own and no region is borrowed.
+  BuildAndOpen(2, 9 * MiB);
+  const size_t baseline = Arena::RegionsInUseForTesting();
+  ASSERT_TRUE(MultiGetAndCheck(0, 2).ok());
+  EXPECT_EQ(Arena::RegionsInUseForTesting(), baseline);
+}
+
+TEST_F(RunBufferTest, CorruptBlockInsideARunFailsAndReturnsItsRegion) {
+  // Eight 64 KiB one-entry blocks are adjacent and coalesce into one run.
+  options_.paranoid_checks = true;
+  BuildAndOpen(8, 64 * KiB);
+  std::string middle;
+  AppendInternalKey(&middle, Key(4), kMaxSequenceNumber, kValueTypeForSeek);
+  const uint64_t offset = table_->ApproximateOffsetOf(middle);
+  ASSERT_GT(offset, 0u);
+  {
+    std::unique_ptr<vfs::FileHandle> handle;
+    ASSERT_TRUE(vfs::PosixVfs().OpenFileHandle(path_, false, {}, &handle).ok());
+    ASSERT_TRUE(handle->WriteAt(offset + 1000, "XYZ").ok());
+    ASSERT_TRUE(handle->Close().ok());
+  }
+  Reopen();
+
+  const size_t baseline = Arena::RegionsInUseForTesting();
+  const Status s = MultiGetAndCheck(0, 8);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_EQ(Arena::RegionsInUseForTesting(), baseline);
+  // The blocks before the corrupt one still read back on their own.
+  EXPECT_TRUE(MultiGetAndCheck(0, 4).ok());
+  EXPECT_EQ(Arena::RegionsInUseForTesting(), baseline);
+}
+
+TEST_F(RunBufferTest, ConcurrentMultiGetsOfOneMiBValues) {
+  BuildAndOpen(8, 1 * MiB);
+  const size_t baseline = Arena::RegionsInUseForTesting();
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 8; ++t) {
+    readers.emplace_back([this, t] {
+      for (int round = 0; round < 3; ++round) {
+        const int first = (t + round) % 5;
+        EXPECT_TRUE(MultiGetAndCheck(first, 4).ok());
+      }
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(Arena::RegionsInUseForTesting(), baseline);
+}
 
 }  // namespace
 }  // namespace lsmio::lsm
